@@ -5,9 +5,10 @@ The CI ``bench-regression`` job reruns ``run_all.py --quick`` and then calls
 this script with the *committed* document as the baseline and the fresh one
 as the current run.  Two things are checked:
 
-* every floor **recorded in the baseline** (batch ≥ 10×, columnar ≥ 3×,
-  npz ≤ 25%, coalesced ≥ 5×, delta ≥ 5×, sparse build ≥ 2×, matrix-chain
-  build ≥ 2× the sparse DFS, sparse artifact ≤ 5%, sparse serve RSS
+* every floor **recorded in the baseline** (batch ≥ 10×, zero catalog
+  entries off the BFS oracle, catalog kernel peak ≤ 45 MB, npz ≤ 25%,
+  coalesced ≥ 5×, delta ≥ 5×, sparse build ≥ 2×, stacked kernel ≥ 2× its
+  per-first-label runs, sparse artifact ≤ 5%, sparse serve RSS
   < 1 GiB, chaos availability ≥ 99%, open-circuit fast-fail < 10 ms,
   pre-fork serving ≥ 2× single-process QPS with p99 ≤ 1.5×, extra mmap
   worker ≤ 25% of a private catalog copy, remote warm-start ≥ 10×,
@@ -49,9 +50,9 @@ from run_all import collect_floor_failures  # noqa: E402
 #: both documents.  ``direction`` is ">=" (floor) or "<=" (ceiling).
 FLOORS: tuple[tuple[str, str, str, str], ...] = (
     ("engine", "batch_speedup", "batch_speedup_floor", ">="),
-    ("catalog", "columnar_speedup", "columnar_speedup_floor", ">="),
+    ("catalog", "oracle_mismatches", "oracle_mismatches_ceiling", "<="),
     ("catalog", "artifact_npz_ratio", "artifact_npz_ratio_ceiling", "<="),
-    ("catalog", "process_speedup", "process_speedup_floor", ">="),
+    ("catalog", "kernel_peak_mb", "kernel_peak_mb_ceiling", "<="),
     ("serving", "coalesced_speedup", "coalesced_speedup_floor", ">="),
     ("delta", "incremental_speedup", "incremental_speedup_floor", ">="),
     ("sparse", "build_speedup", "build_speedup_floor", ">="),
@@ -113,8 +114,8 @@ def drift_table(baseline: dict, current: dict) -> list[str]:
             floor_key, (current.get(section) or {}).get(floor_key)
         )
         if new_value is None:
-            # e.g. process_speedup on a single-core runner: measured as null,
-            # floor not enforced.
+            # e.g. a serve RSS the platform cannot report: measured as
+            # null, floor not enforced.
             rows.append(f"{section}.{metric}: skipped on this machine")
             continue
 

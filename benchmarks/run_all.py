@@ -5,9 +5,9 @@ The script is the repo's benchmark-regression entry point: it executes the
 whole pytest-benchmark suite in one invocation (so the session-scoped graph
 and catalog fixtures are built once), then measures the headline numbers
 directly — batch-vs-loop speedup on a ≥ 10k-path workload, cold-vs-warm
-session build, the columnar catalog numbers (cold-build wall time,
-columnar-vs-dict build speedup, process-vs-serial build speedup at
-``|L| ≥ 6, k ≥ 4``, npz-vs-JSON artifact size), the serving layer's
+session build, the catalog numbers (cold-build wall time, oracle
+agreement on a seeded path sample, the kernel's ``tracemalloc`` peak at
+``|L| = 6, k = 4``, npz-vs-JSON artifact size), the serving layer's
 numbers (coalesced-vs-naive throughput at 32 concurrent clients plus the
 single-flight build guarantee), and the incremental-update numbers
 (delta-patched rebuild vs cold rebuild on a schema-structured graph) — and
@@ -18,34 +18,34 @@ Usage::
 
     python benchmarks/run_all.py --quick --json BENCH_engine.json
 
-``--quick`` trims pytest-benchmark to one round per benchmark; the full run
-uses the calibrated defaults.  Exit code is non-zero when the pytest run
-fails or the acceptance numbers regress: batch speedup < 10×, warm build
-rebuilding the catalog, columnar build < 3× over the dict builder, npz
-artifact > 25% of the JSON size, (on machines with ≥ 2 cores) process
-build < 1.5× over serial, coalesced serving throughput < 5× the naive
-per-path loop at 32 concurrent clients, more than one build under
-concurrent first access to one graph, an incremental delta rebuild
-< 5× the cold rebuild when ≤ 10% of first-label subtrees are touched,
-or any sparse-catalog floor: sparse build < 2× the dense build on the
-|L|=20, k=6 graph (67M-entry dense domain), the ``backend="matrix"``
-build < 2× the sparse DFS build (or its nonzero streams not byte-identical
-to it), sparse npz artifact > 5% of the dense npz at ≤ 1% density, sparse
-histogram boundaries diverging from the dense build, ``repro serve``
-exceeding 1 GiB peak RSS on that domain, or any chaos floor: availability
-under fault injection < 99%, a hung request thread, a worker crash or
-corrupt artifact that is not transparently healed, an open circuit
-answering in ≥ 10 ms, or any serving-load floor: (on ≥ 4-core machines)
-the pre-fork tier < 2× single-process QPS or p99 > 1.5× under 32
+``--quick`` trims pytest-benchmark to one round per benchmark; the full
+run uses the calibrated defaults. Exit code is non-zero when the pytest
+run fails or the acceptance numbers regress: batch speedup < 10×, warm
+build rebuilding the catalog, any sampled catalog entry disagreeing with
+the BFS oracle, the kernel's memory peak above its ceiling, npz artifact >
+25% of the JSON size, coalesced serving throughput < 5× the naive per-path
+loop at 32 concurrent clients, more than one build under concurrent first
+access to one graph, an incremental delta rebuild < 5× the cold rebuild
+when ≤ 10% of first-label subtrees are touched, or any sparse-catalog
+floor: sparse build < 2× the dense build on the |L|=20, k=6 graph
+(67M-entry dense domain), the stacked all-roots kernel build < 2× the same
+kernel run once per first label (or their nonzero streams not
+byte-identical), sparse npz artifact > 5% of the dense npz at ≤ 1%
+density, sparse histogram boundaries diverging from the dense build,
+``repro serve`` exceeding 1 GiB peak RSS on that domain, or any chaos
+floor: availability under fault injection < 99%, a hung request thread, a
+worker crash or corrupt artifact that is not transparently healed, an open
+circuit answering in ≥ 10 ms, or any serving-load floor: (on ≥ 4-core
+machines) the pre-fork tier < 2× single-process QPS or p99 > 1.5× under 32
 keep-alive clients, or each extra mmap worker costing > 25% of a private
 catalog copy, or any remote-tier floor: a fresh replica warm-starting from
 the shared artifact store < 10× faster than rebuilding, its estimates
 diverging from the cold build, availability < 99% with the store down or
 corrupting payloads, a corrupt payload escaping quarantine, the remote
-circuit breaker never opening (or answering an open-circuit fetch in
-≥ 10 ms), or a ``.tmp`` file left behind.  Floor failures are printed
-*first*, one readable line each, and never as tracebacks — CI logs lead
-with the failing floor.
+circuit breaker never opening (or answering an open-circuit fetch in ≥ 10
+ms), or a ``.tmp`` file left behind. Floor failures are printed *first*,
+one readable line each, and never as tracebacks — CI logs lead with the
+failing floor.
 """
 
 from __future__ import annotations
@@ -97,14 +97,14 @@ BATCH_SIZE = 10_000
 #: Acceptance floor for the batch speedup (see ISSUE/ROADMAP).
 SPEEDUP_FLOOR = 10.0
 
-#: Acceptance floor for the columnar builder over the dict builder (cold).
-COLUMNAR_SPEEDUP_FLOOR = 3.0
+#: Paths of the catalog graph checked against the BFS oracle, drawn from
+#: its nonzero paths and uniformly from its domain (each half seeded).
+ORACLE_SAMPLE_PATHS = 256
 
-#: Acceptance floor for the process backend over the serial build.  Only
-#: enforced when the machine has at least this many cores — a single-core
-#: runner cannot demonstrate parallel speedup.
-PROCESS_SPEEDUP_FLOOR = 1.5
-PROCESS_FLOOR_MIN_CPUS = 2
+#: Ceiling on the ``tracemalloc`` peak of one catalog build on the dense
+#: |L|=6, k=4 graph.  The kernel multiplies the last level in row slices
+#: (~34 MB peak); building it from whole products peaks at 55-84 MB.
+KERNEL_PEAK_MB_CEILING = 45.0
 
 #: Acceptance ceiling for the npz catalog artifact relative to legacy JSON.
 NPZ_SIZE_RATIO_CEILING = 0.25
@@ -126,11 +126,9 @@ DELTA_EDGES = 100
 #: build on the |L|=20, k=6 graph (67M-entry dense domain, ~1e-6 density).
 SPARSE_BUILD_SPEEDUP_FLOOR = 2.0
 
-#: Acceptance floor for the matrix-chain backend (``backend="matrix"``)
-#: over the sparse DFS build on the same |L|=20, k=6 graph.  The kernel
-#: batches all live prefixes of a level into one stacked CSR product
-#: (k·|L| scipy calls instead of one per trie node), so it measures well
-#: clear of this floor (~8-11x locally); 2x is the enforced minimum.
+#: Acceptance floor for the stacked kernel (all first labels in one frontier)
+#: over the same kernel run once per first label, on the |L|=20, k=6 graph.
+#: Stacking makes a level k·|L| scipy calls instead of k·|L|·|L|.
 MATRIX_BUILD_SPEEDUP_FLOOR = 2.0
 
 #: Acceptance ceiling for the sparse npz artifact relative to the dense npz
@@ -254,7 +252,7 @@ def measure_engine(quick: bool) -> dict[str, object]:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         started = time.perf_counter()
-        cold = EstimationSession.build(graph, config, cache_dir=cache_dir, workers=4)
+        cold = EstimationSession.build(graph, config, cache_dir=cache_dir)
         cold_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -307,56 +305,54 @@ def measure_engine(quick: bool) -> dict[str, object]:
 
 
 def measure_catalog(quick: bool) -> dict[str, object]:
-    """Directly measure the columnar catalog acceptance numbers.
+    """Directly measure the catalog acceptance numbers.
 
-    Two generated graphs, both at the ISSUE scale ``|L| ≥ 6, k ≥ 4``:
+    Two generated graphs:
 
-    * a *sparse* one (``|L|=8, k=6``: a 300k-path domain dominated by zero
-      subtrees) where the columnar builder's O(1) slice fills and the absence
-      of per-path ``LabelPath``/dict work shows up — measured against the
-      legacy dict builder;
-    * a *dense* one (``|L|=6, k=4``) where sparse matmuls dominate — measured
-      serial vs the process-sharded backend.
-
-    Also records the npz-vs-JSON artifact size for the sparse graph's
-    catalog.
+    * a *sparse* one (``|L|=10, k=6``: a 1.1M-path domain dominated by zero
+      subtrees) — its cold build is timed, ``ORACLE_SAMPLE_PATHS`` seeded
+      paths are checked against :class:`BFSPathEvaluator`, and its catalog
+      sizes the npz-vs-JSON artifact comparison;
+    * a *dense* one (``|L|=6, k=4``) where the last-level products dominate
+      — its build is timed and its ``tracemalloc`` peak must stay under
+      ``KERNEL_PEAK_MB_CEILING``.  ``quick`` does not shrink it, so the
+      peak is comparable across runs.
     """
+    del quick  # both graphs are fixed so their numbers compare across runs
+
+    import tracemalloc
+
     import numpy as np
 
     from repro.graph.generators import erdos_renyi_graph, zipf_labeled_graph
     from repro.paths.catalog import SelectivityCatalog
-    from repro.paths.enumeration import (
-        compute_selectivities,
-        compute_selectivity_vector,
-    )
+    from repro.paths.enumeration import compute_selectivity_vector
+    from repro.paths.evaluation import BFSPathEvaluator
+    from repro.paths.index import domain_index_to_path
 
-    cpu_count = os.cpu_count() or 1
-
-    # --- columnar vs dict cold catalog build (sparse, zero-dominated) -----
-    # Both sides are timed end-to-end to a finished SelectivityCatalog: that
-    # is what "cold catalog build" means to a session, and it keeps the
-    # comparison fair (the dict path pays mapping construction, the columnar
-    # path pays the from_frequencies wrap).  Quick mode deliberately does
-    # NOT shrink this graph: the 1.1M-path domain is what keeps the ratio
-    # overhead-dominated (~8-10x measured), while a ~300k-path version
-    # measured as low as 3.1x under full-suite load — too close to the 3x
-    # floor for a hard CI gate.  The dict baseline costs the quick run a few
-    # extra seconds; a flaky red gate would cost far more.
+    # --- cold build, checked against the BFS oracle ----------------------
     sparse_graph = zipf_labeled_graph(500, 500, 10, skew=0.8, seed=17, name="bench-sparse")
     sparse_k = 6
     started = time.perf_counter()
     catalog = SelectivityCatalog.from_graph(sparse_graph, sparse_k)
-    columnar_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    mapping = compute_selectivities(sparse_graph, sparse_k)
-    dict_catalog = SelectivityCatalog(sparse_graph.labels(), sparse_k, mapping)
-    dict_seconds = time.perf_counter() - started
+    cold_seconds = time.perf_counter() - started
 
     vector = catalog.frequency_vector()
-    if not np.array_equal(vector, dict_catalog.frequency_vector()):
-        raise FloorFailure("columnar and dict builders disagree")
-    columnar_speedup = dict_seconds / columnar_seconds if columnar_seconds > 0 else float("inf")
+    rng = np.random.default_rng(29)
+    half = ORACLE_SAMPLE_PATHS // 2
+    sample = np.concatenate(
+        (
+            rng.choice(np.flatnonzero(vector), size=half),
+            rng.integers(0, vector.size, size=half),
+        )
+    )
+    evaluator = BFSPathEvaluator(sparse_graph)
+    alphabet = catalog.labels
+    oracle_mismatches = sum(
+        evaluator.selectivity(domain_index_to_path(int(index), alphabet))
+        != int(vector[index])
+        for index in sample
+    )
 
     # --- npz vs JSON artifact size ---------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
@@ -368,34 +364,20 @@ def measure_catalog(quick: bool) -> dict[str, object]:
         npz_bytes = npz_path.stat().st_size
     npz_ratio = npz_bytes / json_bytes if json_bytes else float("inf")
 
-    # --- process vs serial (dense, matmul-dominated) ----------------------
-    vertices, edges = (1600, 20000) if quick else (3000, 40000)
-    dense_graph = erdos_renyi_graph(vertices, edges, 6, seed=23)
+    # --- kernel memory peak (dense, matmul-dominated) ---------------------
+    dense_graph = erdos_renyi_graph(1600, 20000, 6, seed=23)
     dense_k = 4
-    workers = min(cpu_count, dense_graph.label_count)
     started = time.perf_counter()
-    serial_vector = compute_selectivity_vector(dense_graph, dense_k)
-    serial_seconds = time.perf_counter() - started
-    # With fewer than two workers the process backend would silently degrade
-    # to serial; recording a serial-vs-serial ratio as "process speedup"
-    # would poison the perf trajectory, so the measurement is skipped.
-    process_floor_enforced = cpu_count >= PROCESS_FLOOR_MIN_CPUS and workers >= 2
-    process_seconds: float | None = None
-    process_speedup: float | None = None
-    if workers >= 2:
-        started = time.perf_counter()
-        process_vector = compute_selectivity_vector(
-            dense_graph, dense_k, backend="process", workers=workers
-        )
-        process_seconds = time.perf_counter() - started
-        if not np.array_equal(serial_vector, process_vector):
-            raise FloorFailure("process and serial builds disagree")
-        process_speedup = (
-            serial_seconds / process_seconds if process_seconds > 0 else float("inf")
-        )
+    compute_selectivity_vector(dense_graph, dense_k)
+    dense_seconds = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        compute_selectivity_vector(dense_graph, dense_k)
+        kernel_peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
     return {
-        "cpu_count": cpu_count,
         "sparse_graph": {
             "labels": sparse_graph.label_count,
             "max_length": sparse_k,
@@ -404,10 +386,10 @@ def measure_catalog(quick: bool) -> dict[str, object]:
             "domain_size": int(vector.size),
             "nonzero_paths": int((vector > 0).sum()),
         },
-        "cold_build_seconds": columnar_seconds,
-        "dict_build_seconds": dict_seconds,
-        "columnar_speedup": columnar_speedup,
-        "columnar_speedup_floor": COLUMNAR_SPEEDUP_FLOOR,
+        "cold_build_seconds": cold_seconds,
+        "oracle_sample_paths": int(sample.size),
+        "oracle_mismatches": int(oracle_mismatches),
+        "oracle_mismatches_ceiling": 0,
         "artifact_json_bytes": json_bytes,
         "artifact_npz_bytes": npz_bytes,
         "artifact_npz_ratio": npz_ratio,
@@ -415,15 +397,12 @@ def measure_catalog(quick: bool) -> dict[str, object]:
         "dense_graph": {
             "labels": dense_graph.label_count,
             "max_length": dense_k,
-            "vertices": vertices,
+            "vertices": dense_graph.vertex_count,
             "edges": dense_graph.edge_count,
         },
-        "serial_build_seconds": serial_seconds,
-        "process_build_seconds": process_seconds,
-        "process_workers": workers,
-        "process_speedup": process_speedup,
-        "process_speedup_floor": PROCESS_SPEEDUP_FLOOR,
-        "process_floor_enforced": process_floor_enforced,
+        "dense_build_seconds": dense_seconds,
+        "kernel_peak_mb": kernel_peak_bytes / 1e6,
+        "kernel_peak_mb_ceiling": KERNEL_PEAK_MB_CEILING,
     }
 
 
@@ -680,10 +659,10 @@ def measure_sparse(quick: bool) -> dict[str, object]:
       ``storage="dense"`` (the columnar vector build) to a finished
       catalog, identical nonzeros required; floor
       ``SPARSE_BUILD_SPEEDUP_FLOOR``x.
-    * **Matrix-chain build** — the same sparse catalog through
-      ``backend="matrix"`` (stacked level-synchronous matrix products) vs
-      the sparse DFS build, byte-identical nonzero streams required; floor
-      ``MATRIX_BUILD_SPEEDUP_FLOOR``x.
+    * **Stacked kernel** — the matrix-chain kernel over all first labels
+      in one stacked frontier vs the same kernel run once per first label
+      on prebuilt label matrices, byte-identical nonzero streams required;
+      floor ``MATRIX_BUILD_SPEEDUP_FLOOR``x.
     * **Artifact** — the sparse npz vs the dense npz of the same catalog;
       ceiling ``SPARSE_ARTIFACT_RATIO_CEILING`` at ≤
       ``SPARSE_DENSITY_CEILING`` density (deflate compresses zero runs
@@ -706,7 +685,9 @@ def measure_sparse(quick: bool) -> dict[str, object]:
 
     from repro.graph.generators import zipf_labeled_graph
     from repro.histogram import HISTOGRAM_KINDS, domain_frequencies
+    from repro.graph.matrices import LabelMatrixStore
     from repro.ordering.registry import make_ordering
+    from repro.paths import enumeration
     from repro.paths.catalog import SelectivityCatalog
 
     # --- sparse vs dense cold build (|L|=20, k=6: 67M dense entries) ------
@@ -724,11 +705,19 @@ def measure_sparse(quick: bool) -> dict[str, object]:
     sparse_catalog = SelectivityCatalog.from_graph(graph, k, storage="sparse")
     sparse_seconds = time.perf_counter() - started
 
+    # --- stacked kernel vs one kernel run per first label -----------------
+    alphabet = tuple(graph.labels())
+    matrices = LabelMatrixStore(graph).as_dict()
+    kernel = enumeration._matrix_subtrees_nonzeros
     started = time.perf_counter()
-    matrix_catalog = SelectivityCatalog.from_graph(
-        graph, k, storage="sparse", backend="matrix"
-    )
+    stacked = kernel(matrices, alphabet, alphabet, k)
     matrix_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    per_root = [kernel(matrices, alphabet, (label,), k) for label in alphabet]
+    per_root_seconds = time.perf_counter() - started
+    per_root_indices = np.concatenate([indices for indices, _ in per_root])
+    order = np.argsort(per_root_indices)
+    per_root_counts = np.concatenate([counts for _, counts in per_root])[order]
 
     started = time.perf_counter()
     dense_catalog = SelectivityCatalog.from_graph(graph, k, storage="dense")
@@ -741,16 +730,15 @@ def measure_sparse(quick: bool) -> dict[str, object]:
         and np.array_equal(sparse_counts, dense_counts)
     ):
         raise FloorFailure("sparse and dense catalog builds disagree")
-    matrix_indices, matrix_counts = matrix_catalog.nonzero_arrays()
     if not (
-        sparse_indices.tobytes() == matrix_indices.tobytes()
-        and sparse_counts.tobytes() == matrix_counts.tobytes()
+        stacked[0].tobytes() == per_root_indices[order].tobytes()
+        and stacked[1].tobytes() == per_root_counts.tobytes()
+        and stacked[0].tobytes() == sparse_indices.tobytes()
     ):
         raise FloorFailure(
-            "matrix-chain backend nonzero streams are not byte-identical to "
-            "the sparse DFS build"
+            "stacked kernel nonzero streams are not byte-identical to the "
+            "per-first-label kernel runs"
         )
-    del matrix_catalog
     density = sparse_catalog.density
     if density > SPARSE_ARTIFACT_DENSITY_CEILING:
         raise FloorFailure(
@@ -759,7 +747,7 @@ def measure_sparse(quick: bool) -> dict[str, object]:
             "floor is only meaningful when zeros dominate"
         )
     build_speedup = dense_seconds / sparse_seconds if sparse_seconds > 0 else float("inf")
-    matrix_speedup = sparse_seconds / matrix_seconds if matrix_seconds > 0 else float("inf")
+    matrix_speedup = per_root_seconds / matrix_seconds if matrix_seconds > 0 else float("inf")
 
     # --- artifact sizes ----------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
@@ -841,6 +829,7 @@ def measure_sparse(quick: bool) -> dict[str, object]:
         "build_speedup": build_speedup,
         "build_speedup_floor": SPARSE_BUILD_SPEEDUP_FLOOR,
         "matrix_build_seconds": matrix_seconds,
+        "per_root_build_seconds": per_root_seconds,
         "matrix_speedup": matrix_speedup,
         "matrix_speedup_floor": MATRIX_BUILD_SPEEDUP_FLOOR,
         "matrix_streams_identical": True,
@@ -1059,7 +1048,7 @@ def main(argv: list[str] | None = None) -> int:
     total_seconds = time.perf_counter() - started
 
     document = {
-        "schema": "repro-bench/v10",
+        "schema": "repro-bench/v11",
         "quick": args.quick,
         "python": sys.version.split()[0],
         "generated_unix": time.time(),
@@ -1087,29 +1076,21 @@ def main(argv: list[str] | None = None) -> int:
     for failure in failures:
         print(f"benchmark regression: {failure}", file=sys.stderr)
 
-    if catalog["process_speedup"] is None:
-        process_note = f"skipped ({catalog['cpu_count']} cpu)"
-    elif catalog["process_floor_enforced"]:
-        process_note = f"{catalog['process_speedup']:.2f}x"
-    else:
-        process_note = (
-            f"{catalog['process_speedup']:.2f}x (floor skipped: "
-            f"{catalog['cpu_count']} cpu)"
-        )
     print(
         f"wrote {output} — batch speedup {engine['batch_speedup']:.1f}x "
         f"on {engine['batch_paths']} paths, warm catalog from cache: "
-        f"{engine['warm_catalog_from_cache']}, columnar build "
-        f"{catalog['columnar_speedup']:.1f}x vs dict, npz artifact "
-        f"{catalog['artifact_npz_ratio']:.1%} of JSON, process build "
-        f"{process_note}, serving coalesced {serving['coalesced_speedup']:.1f}x "
+        f"{engine['warm_catalog_from_cache']}, catalog oracle mismatches "
+        f"{catalog['oracle_mismatches']}/{catalog['oracle_sample_paths']}, "
+        f"kernel peak {catalog['kernel_peak_mb']:.1f}MB, npz artifact "
+        f"{catalog['artifact_npz_ratio']:.1%} of JSON, "
+        f"serving coalesced {serving['coalesced_speedup']:.1f}x "
         f"vs naive at {serving['clients']} clients "
         f"({serving['single_flight_builds']} build under concurrent first "
         f"access), delta rebuild {delta['incremental_speedup']:.1f}x vs cold "
         f"({delta['affected_subtrees']}/{delta['subtrees_total']} subtrees), "
         f"sparse build {sparse['build_speedup']:.1f}x vs dense at "
-        f"{sparse['graph']['domain_size'] / 1e6:.0f}M domain (matrix backend "
-        f"{sparse['matrix_speedup']:.1f}x vs DFS, artifact "
+        f"{sparse['graph']['domain_size'] / 1e6:.0f}M domain (stacked kernel "
+        f"{sparse['matrix_speedup']:.1f}x vs per-label runs, artifact "
         f"{sparse['artifact_ratio']:.1%} of dense, serve RSS "
         f"{_format_rss(sparse['serve_max_rss_bytes'])}), chaos availability "
         f"{chaos['availability']:.4f} over {chaos['requests_total']} requests "
@@ -1165,11 +1146,11 @@ def collect_floor_failures(document: dict) -> list[str]:
         )
     if not engine["warm_catalog_from_cache"]:
         failures.append("warm build rebuilt the catalog")
-    columnar_floor = catalog.get("columnar_speedup_floor", COLUMNAR_SPEEDUP_FLOOR)
-    if catalog["columnar_speedup"] < columnar_floor:
+    mismatch_ceiling = catalog.get("oracle_mismatches_ceiling", 0)
+    if catalog["oracle_mismatches"] > mismatch_ceiling:
         failures.append(
-            f"columnar build speedup {catalog['columnar_speedup']:.1f}x "
-            f"< {columnar_floor}x over the dict builder"
+            f"{catalog['oracle_mismatches']} of {catalog['oracle_sample_paths']} "
+            "sampled catalog entries disagree with the BFS oracle"
         )
     npz_ceiling = catalog.get("artifact_npz_ratio_ceiling", NPZ_SIZE_RATIO_CEILING)
     if catalog["artifact_npz_ratio"] > npz_ceiling:
@@ -1177,14 +1158,11 @@ def collect_floor_failures(document: dict) -> list[str]:
             f"npz artifact is {catalog['artifact_npz_ratio']:.0%} of the JSON "
             f"size (ceiling {npz_ceiling:.0%})"
         )
-    process_floor = catalog.get("process_speedup_floor", PROCESS_SPEEDUP_FLOOR)
-    if (
-        catalog["process_floor_enforced"]
-        and catalog["process_speedup"] < process_floor
-    ):
+    peak_ceiling = catalog.get("kernel_peak_mb_ceiling", KERNEL_PEAK_MB_CEILING)
+    if catalog["kernel_peak_mb"] > peak_ceiling:
         failures.append(
-            f"process build speedup {catalog['process_speedup']:.2f}x "
-            f"< {process_floor}x on {catalog['cpu_count']} cores"
+            f"catalog kernel peak {catalog['kernel_peak_mb']:.1f} MB "
+            f"> {peak_ceiling} MB ceiling"
         )
     if not serving["coalesced_matches_direct"]:
         failures.append("scheduler estimates diverge from direct estimate_batch")
@@ -1217,15 +1195,15 @@ def collect_floor_failures(document: dict) -> list[str]:
         )
     if not sparse.get("matrix_streams_identical", True):
         failures.append(
-            "matrix-chain backend nonzero streams diverge from the sparse "
-            "DFS build"
+            "stacked kernel nonzero streams diverge from the per-first-label "
+            "kernel runs"
         )
     matrix_speedup = sparse.get("matrix_speedup")
     matrix_floor = sparse.get("matrix_speedup_floor", MATRIX_BUILD_SPEEDUP_FLOOR)
     if matrix_speedup is not None and matrix_speedup < matrix_floor:
         failures.append(
-            f"matrix-chain build {matrix_speedup:.1f}x < {matrix_floor}x "
-            f"over the sparse DFS build at "
+            f"stacked kernel {matrix_speedup:.1f}x < {matrix_floor}x "
+            f"over per-first-label kernel runs at "
             f"{sparse['graph']['domain_size']:,} domain entries"
         )
     sparse_artifact_ceiling = sparse.get(

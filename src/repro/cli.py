@@ -10,7 +10,7 @@ tables and figures can be regenerated without writing Python::
     repro experiment table4 --scale 0.02 -k 3
     repro experiment figure2 --scale 0.01 -k 2 3
     repro estimate moreno.catalog.json "1/2/3" --ordering sum-based --buckets 32
-    repro engine build moreno.tsv -k 3 --cache-dir .repro-cache --workers 4 --backend process
+    repro engine build moreno.tsv -k 3 --cache-dir .repro-cache
     repro engine estimate moreno.tsv "1/2/3" "2/2" --cache-dir .repro-cache
     repro engine update moreno.tsv --delta churn.delta --cache-dir .repro-cache
     repro engine cache prune --cache-dir .repro-cache --max-bytes 100000000
@@ -48,7 +48,6 @@ from repro.experiments.table4 import run_table4
 from repro.exceptions import ReproError
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.paths.catalog import SelectivityCatalog
-from repro.paths.enumeration import CATALOG_BACKENDS
 
 __all__ = ["main", "build_parser", "add_engine_options"]
 
@@ -57,23 +56,19 @@ def add_engine_options(
     parser: argparse.ArgumentParser,
     *,
     estimation: bool = True,
-    workers_flag: str = "--workers",
 ) -> None:
     """Install the shared engine flag block on ``parser``.
 
     One definition of the ``-k/--max-length``, ``--ordering``, ``--buckets``,
-    ``--histogram``, ``--backend``, ``--storage``, ``--cache-dir`` and
-    build-workers flags shared by ``repro catalog``, every ``repro engine``
-    subcommand and ``repro serve``, so defaults and help text cannot drift
-    between them.  :meth:`repro.engine.EngineConfig.from_args` consumes the
-    resulting namespace.
+    ``--histogram``, ``--backend``, ``--storage`` and ``--cache-dir`` flags
+    shared by ``repro catalog``, every ``repro engine`` subcommand and
+    ``repro serve``, so defaults and help text cannot drift between them.
+    :meth:`repro.engine.EngineConfig.from_args` consumes the resulting
+    namespace.
 
     ``estimation=False`` (used by ``repro catalog``) skips the
     estimation-only flags (``--ordering``, ``--buckets``, ``--histogram``,
-    ``--cache-dir``).  ``workers_flag`` renames the catalog-construction
-    worker option — ``repro serve`` passes ``--build-workers`` so plain
-    ``--workers`` can mean serving processes — but the parsed attribute is
-    always ``build_workers``.
+    ``--cache-dir``).
     """
     parser.add_argument("-k", "--max-length", type=int, default=3)
     if estimation:
@@ -93,19 +88,11 @@ def add_engine_options(
         "local cache miss and pushed to after cold builds",
     )
     parser.add_argument(
-        workers_flag,
-        dest="build_workers",
-        type=int,
-        default=None,
-        help="workers for catalog construction on a cache miss",
-    )
-    parser.add_argument(
         "--backend",
-        choices=CATALOG_BACKENDS,
+        choices=("matrix",),
         default=None,
-        help="catalog construction backend (default: thread when the build "
-        "worker count > 1, serial otherwise; matrix = stacked "
-        "matrix-chain kernel)",
+        help="catalog construction kernel (matrix, the stacked matrix-chain "
+        "kernel, is the only one)",
     )
     parser.add_argument(
         "--storage",
@@ -233,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    add_engine_options(serve, workers_flag="--build-workers")
+    add_engine_options(serve)
     serve.add_argument(
         "--workers",
         type=int,
@@ -487,7 +474,6 @@ def _build_session(args: argparse.Namespace) -> EstimationSession:
         graph,
         config,
         cache_dir=_resolve_cache(args),
-        workers=args.build_workers,
         backend=args.backend,
     )
 
@@ -609,7 +595,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             cache_dir=_resolve_cache(args),
             max_sessions=args.max_sessions,
             max_bytes=args.max_bytes,
-            workers=args.build_workers,
             backend=args.backend,
             mmap=mmap,
             prune_cache_bytes=args.prune_cache_bytes,
@@ -731,7 +716,6 @@ def _run_catalog(args: argparse.Namespace) -> int:
         catalog = SelectivityCatalog.from_graph(
             graph,
             args.max_length,
-            workers=args.build_workers,
             backend=args.backend,
             storage=args.storage,
         )
@@ -958,11 +942,7 @@ def _run_engine(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(stats.as_row(), indent=2))
         else:
-            source = (
-                "cache"
-                if stats.catalog_from_cache
-                else f"built ({stats.backend}, workers={stats.workers})"
-            )
+            source = "cache" if stats.catalog_from_cache else "built"
             print(
                 f"session ready: domain={session.domain_size} "
                 f"method={session.histogram.method_name} "

@@ -30,13 +30,18 @@ def drop_zero_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     dropping empty rows between levels is loss-free.  It is also the main
     reason stacked frontiers stay small: dead source vertices stop paying
     for ``indptr`` space in every later product.  Returns ``matrix`` itself
-    (no copy) when every row is nonzero.
+    when every row is nonzero; otherwise the result shares ``matrix``'s
+    ``data`` and ``indices`` arrays and only rebuilds ``indptr``.
     """
-    row_counts = np.diff(matrix.indptr)
-    keep = np.nonzero(row_counts)[0]
+    keep = np.flatnonzero(np.diff(matrix.indptr))
     if keep.size == matrix.shape[0]:
         return matrix
-    return matrix[keep]
+    # Dropped rows hold no entries, so the kept rows' entries are already
+    # contiguous: only their end pointers survive.
+    indptr = np.concatenate((matrix.indptr[:1], matrix.indptr[keep + 1]))
+    return sparse.csr_matrix(
+        (matrix.data, matrix.indices, indptr), shape=(keep.size, matrix.shape[1])
+    )
 
 
 def block_nonzero_counts(
@@ -100,9 +105,15 @@ class LabelMatrixStore:
         if cached is not None:
             return cached
         rows, cols = self._graph.edge_index_arrays(label)
-        data = np.ones(rows.size, dtype=bool)
+        # Edges are unique, so the CSR arrays follow from one sort by
+        # (row, column) and the per-row edge counts.
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=self._dimension)))
+        )
         matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self._dimension, self._dimension), dtype=bool
+            (np.ones(rows.size, dtype=bool), cols[order], indptr),
+            shape=(self._dimension, self._dimension),
         )
         self._matrices[label] = matrix
         return matrix

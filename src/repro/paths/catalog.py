@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -347,25 +347,20 @@ class SelectivityCatalog:
         max_length: int,
         *,
         labels: Optional[Sequence[str]] = None,
-        progress: Optional[Callable[[int], None]] = None,
-        workers: Optional[int] = None,
         backend: Optional[str] = None,
         storage: str = "auto",
     ) -> "SelectivityCatalog":
         """Build the catalog by exact evaluation of every path on ``graph``.
 
-        ``storage="dense"`` runs the columnar builder
-        (:func:`~repro.paths.enumeration.compute_selectivity_vector`):
-        counts land directly in the O(|Lk|) frequency vector.  ``"sparse"``
-        and ``"auto"`` run the sparse builder
-        (:func:`~repro.paths.enumeration.compute_selectivity_nonzeros`),
-        which touches O(nnz) memory and never materialises zero subtrees;
+        Both storages run the matrix-chain kernel.  ``storage="dense"``
+        scatters its counts into the O(|Lk|) frequency vector
+        (:func:`~repro.paths.enumeration.compute_selectivity_vector`);
+        ``"sparse"`` and ``"auto"`` take its O(nnz) nonzero arrays
+        (:func:`~repro.paths.enumeration.compute_selectivity_nonzeros`);
         ``"auto"`` then keeps the sparse form when the domain is large and
         mostly zero, and scatters into a dense vector otherwise.  Results
-        are identical across storage modes and across the ``"serial"`` /
-        ``"thread"`` / ``"process"`` / ``"matrix"`` backends; ``"matrix"``
-        builds whole levels as stacked sparse matrix-chain products and is
-        the fastest way to construct large sparse catalogs.
+        are identical across storage modes.  ``backend`` accepts only
+        ``None`` or ``"matrix"``.
         """
         if storage not in CATALOG_STORAGE_MODES:
             raise PathError(
@@ -376,23 +371,13 @@ class SelectivityCatalog:
         name = graph.name or "unnamed"
         if storage == "dense":
             vector = compute_selectivity_vector(
-                graph,
-                max_length,
-                labels=alphabet,
-                progress=progress,
-                backend=backend,
-                workers=workers,
+                graph, max_length, labels=alphabet, backend=backend
             )
             return cls.from_frequencies(
                 alphabet, max_length, vector, graph_name=name, copy=False
             )
         indices, counts = compute_selectivity_nonzeros(
-            graph,
-            max_length,
-            labels=alphabet,
-            progress=progress,
-            backend=backend,
-            workers=workers,
+            graph, max_length, labels=alphabet, backend=backend
         )
         return cls(
             alphabet,
@@ -423,8 +408,6 @@ class SelectivityCatalog:
         graph: LabeledDiGraph,
         delta: GraphDelta,
         *,
-        progress: Optional[Callable[[int], None]] = None,
-        workers: Optional[int] = None,
         backend: Optional[str] = None,
         affected: Optional[Sequence[str]] = None,
     ) -> "SelectivityCatalog":
@@ -450,8 +433,6 @@ class SelectivityCatalog:
             return SelectivityCatalog.from_graph(
                 graph,
                 self._max_length,
-                progress=progress,
-                workers=workers,
                 backend=backend,
                 storage=self._storage,
             )
@@ -464,8 +445,6 @@ class SelectivityCatalog:
                 self._nz_values,
                 delta,
                 labels=self._labels,
-                progress=progress,
-                workers=workers,
                 backend=backend,
                 affected=affected,
             )
@@ -482,8 +461,6 @@ class SelectivityCatalog:
             self._frequencies,
             delta,
             labels=self._labels,
-            progress=progress,
-            workers=workers,
             backend=backend,
             affected=affected,
         )

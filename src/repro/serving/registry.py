@@ -50,6 +50,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
 )
+from repro.paths.enumeration import check_backend
 from repro.testing import faults
 
 __all__ = ["RegistryStats", "SessionRegistry"]
@@ -285,7 +286,10 @@ class SessionRegistry:
         :meth:`~repro.engine.session.EstimationSession.memory_bytes`.  The
         most recently used session is never evicted, so a single oversized
         session still serves.
-    workers / backend / mmap:
+    backend:
+        ``None`` or ``"matrix"``, the only catalog construction kernel;
+        anything else raises :class:`~repro.exceptions.PathError`.
+    mmap:
         Forwarded to :meth:`EstimationSession.build`.
     prune_cache_bytes:
         When set, :meth:`ArtifactCache.prune` runs after every build so the
@@ -306,7 +310,6 @@ class SessionRegistry:
         cache_dir: Optional[Union[str, Path, ArtifactCache]] = None,
         max_sessions: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        workers: Optional[int] = None,
         backend: Optional[str] = None,
         mmap: bool = False,
         prune_cache_bytes: Optional[int] = None,
@@ -314,6 +317,7 @@ class SessionRegistry:
         breaker_threshold: Optional[int] = 3,
         breaker_reset_seconds: float = 5.0,
     ) -> None:
+        check_backend(backend)
         if max_sessions is not None and max_sessions < 1:
             raise ServingError("max_sessions must be >= 1")
         if max_bytes is not None and max_bytes < 0:
@@ -328,8 +332,6 @@ class SessionRegistry:
             self._cache = ArtifactCache(cache_dir)
         self._max_sessions = max_sessions
         self._max_bytes = max_bytes
-        self._workers = workers
-        self._backend = backend
         self._mmap = mmap
         self._prune_cache_bytes = prune_cache_bytes
         self._breaker_threshold = breaker_threshold or 0
@@ -567,8 +569,6 @@ class SessionRegistry:
                 graph,
                 source.config,
                 cache_dir=self._cache,
-                workers=self._workers,
-                backend=self._backend,
                 mmap=self._mmap,
             )
         build_seconds = time.perf_counter() - started
@@ -655,8 +655,6 @@ class SessionRegistry:
             with tracing.span("registry.update", graph=name):
                 new_session = session.update(
                     delta,
-                    workers=self._workers,
-                    backend=self._backend,
                     graph=session.graph.copy() if graph_is_shared else None,
                 )
             update_seconds = time.perf_counter() - started

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, EstimationSession
-from repro.exceptions import EngineError, UnknownLabelError
+from repro.exceptions import EngineError, PathError, UnknownLabelError
 from repro.paths.enumeration import enumerate_label_paths
 
 CONFIG = EngineConfig(max_length=3, ordering="sum-based", bucket_count=16)
@@ -105,8 +105,8 @@ class TestCacheBehavior:
         import repro.paths.enumeration as enumeration_module
 
         monkeypatch.setattr(catalog_module, "compute_selectivity_vector", explode)
-        monkeypatch.setattr(enumeration_module, "compute_selectivities", explode)
-        monkeypatch.setattr(enumeration_module, "compute_selectivities_parallel", explode)
+        monkeypatch.setattr(catalog_module, "compute_selectivity_nonzeros", explode)
+        monkeypatch.setattr(enumeration_module, "_matrix_subtrees_nonzeros", explode)
         warm = EstimationSession.build(small_graph, CONFIG, cache_dir=tmp_path)
         assert warm.stats.catalog_from_cache
 
@@ -163,59 +163,60 @@ class TestCacheBehavior:
 
 class TestParallelCatalog:
     def test_parallel_equals_serial(self, small_graph):
-        from repro.paths.enumeration import (
-            compute_selectivities,
-            compute_selectivities_parallel,
-        )
-
-        serial = compute_selectivities(small_graph, 3)
-        parallel = compute_selectivities_parallel(small_graph, 3, workers=4)
-        assert serial == parallel
-
-    def test_from_graph_workers_equals_serial(self, small_graph):
-        from repro.paths.catalog import SelectivityCatalog
-
-        serial = SelectivityCatalog.from_graph(small_graph, 3)
-        parallel = SelectivityCatalog.from_graph(small_graph, 3, workers=4)
-        assert dict(serial.items()) == dict(parallel.items())
-
-    def test_roots_restriction(self, small_graph):
-        from repro.paths.enumeration import compute_selectivities
+        # One stacked frontier over every first label equals the kernel run
+        # on one first label at a time: stacked blocks never mix.
+        from repro.graph.matrices import LabelMatrixStore
+        from repro.paths.enumeration import _matrix_subtrees_nonzeros
 
         labels = small_graph.labels()
-        full = compute_selectivities(small_graph, 2)
-        rooted = compute_selectivities(small_graph, 2, roots=labels[:1])
-        assert set(rooted) == {
-            path for path in full if path.first == labels[0]
-        }
-        assert all(full[path] == value for path, value in rooted.items())
+        matrices = LabelMatrixStore(small_graph).as_dict()
+        stacked = _matrix_subtrees_nonzeros(matrices, labels, labels, 3)
+        runs = [_matrix_subtrees_nonzeros(matrices, labels, (label,), 3) for label in labels]
+        indices = np.concatenate([run[0] for run in runs])
+        order = np.argsort(indices)
+        assert np.array_equal(stacked[0], indices[order])
+        assert np.array_equal(stacked[1], np.concatenate([run[1] for run in runs])[order])
+
+    def test_roots_restriction(self, small_graph):
+        # The kernel stacks any subset of first-label subtrees (the delta
+        # path's unit of work); each subset equals its slice of a full build.
+        from repro.graph.matrices import LabelMatrixStore
+        from repro.paths.enumeration import (
+            _matrix_subtrees_nonzeros,
+            compute_selectivity_vector,
+            subtree_level_ranges,
+        )
+
+        labels = small_graph.labels()
+        matrices = LabelMatrixStore(small_graph).as_dict()
+        full = compute_selectivity_vector(small_graph, 3)
+        rooted_labels = labels[1:3]
+        indices, counts = _matrix_subtrees_nonzeros(matrices, labels, rooted_labels, 3)
+        expected = np.zeros_like(full)
+        for label in rooted_labels:
+            for low, high in subtree_level_ranges(len(labels), 3, labels.index(label)):
+                expected[low:high] = full[low:high]
+        assert np.array_equal(indices, np.flatnonzero(expected))
+        assert np.array_equal(counts, expected[indices])
 
     def test_bad_roots_rejected(self, small_graph):
         from repro.exceptions import PathError
-        from repro.paths.enumeration import compute_selectivities
+        from repro.graph.delta import GraphDelta
+        from repro.paths.enumeration import compute_selectivity_vector, update_selectivity_vector
 
+        vector = compute_selectivity_vector(small_graph, 2)
         with pytest.raises(PathError):
-            compute_selectivities(small_graph, 2, roots=["nope"])
+            update_selectivity_vector(
+                small_graph, 2, vector, GraphDelta(), affected=["nope"]
+            )
 
-    def test_parallel_progress_reports_combined_total(self):
-        # The callback fires every 1000 paths, so the domain must be large
-        # enough for several ticks per first-label subtree (10^4 paths here).
-        from repro.graph.generators import zipf_labeled_graph
-        from repro.paths.enumeration import compute_selectivities_parallel, domain_size
+    def test_backend_accepts_only_matrix(self, small_graph):
+        from repro.graph.delta import GraphDelta
 
-        graph = zipf_labeled_graph(30, 150, 10, skew=1.0, seed=5, name="progress")
-        labels = graph.labels()
-        seen: list[int] = []
-        compute_selectivities_parallel(graph, 4, workers=4, progress=seen.append)
-        total = domain_size(len(labels), 4)
-        assert seen, "progress callback never invoked"
-        assert max(seen) <= total
-        # combined counts must cross a single subtree's share of the domain
-        assert max(seen) > total // len(labels)
-
-    def test_bad_worker_count_rejected(self, small_graph):
-        from repro.exceptions import PathError
-        from repro.paths.enumeration import compute_selectivities_parallel
-
+        session = EstimationSession.build(small_graph.copy(), CONFIG, backend="matrix")
+        assert "backend" not in session.stats.as_row()
+        assert "workers" not in session.stats.as_row()
         with pytest.raises(PathError):
-            compute_selectivities_parallel(small_graph, 2, workers=0)
+            EstimationSession.build(small_graph, CONFIG, backend="serial")
+        with pytest.raises(PathError):
+            session.update(GraphDelta(), backend="thread")

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import PathError
 from repro.paths.enumeration import (
-    compute_selectivities,
+    compute_selectivity_nonzeros,
+    compute_selectivity_vector,
     domain_size,
     enumerate_label_paths,
 )
 from repro.paths.evaluation import MatrixPathEvaluator
+from repro.paths.index import path_to_domain_index
 from repro.paths.label_path import LabelPath
 
 
@@ -50,42 +53,38 @@ class TestEnumeration:
 
 class TestComputeSelectivities:
     def test_matches_direct_evaluation(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 3)
+        vector = compute_selectivity_vector(triangle_graph, 3)
         evaluator = MatrixPathEvaluator(triangle_graph)
-        for path, value in selectivities.items():
+        paths = enumerate_label_paths(triangle_graph.labels(), 3)
+        for path, value in zip(paths, vector):
             assert value == evaluator.selectivity(path), f"mismatch on {path}"
 
     def test_covers_whole_domain(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 2)
-        assert len(selectivities) == domain_size(3, 2)
+        vector = compute_selectivity_vector(triangle_graph, 2)
+        assert vector.shape == (domain_size(3, 2),)
 
     def test_prune_empty_drops_zero_subtrees(self, triangle_graph):
-        pruned = compute_selectivities(triangle_graph, 3, prune_empty=True)
-        assert all(value > 0 for value in pruned.values())
-        full = compute_selectivities(triangle_graph, 3)
-        nonzero_full = {p: v for p, v in full.items() if v > 0}
-        assert pruned == nonzero_full
+        # The sparse builder is the pruned form: only nonzero paths survive.
+        indices, counts = compute_selectivity_nonzeros(triangle_graph, 3)
+        assert (counts > 0).all()
+        full = compute_selectivity_vector(triangle_graph, 3)
+        assert np.array_equal(indices, np.flatnonzero(full))
+        assert np.array_equal(counts, full[indices])
 
     def test_zero_subtree_recorded_when_not_pruned(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 3)
+        vector = compute_selectivity_vector(triangle_graph, 3)
+        alphabet = triangle_graph.labels()
         # z/z is empty, and so must every extension of it be.
-        assert selectivities[LabelPath.parse("z/z")] == 0
-        assert selectivities[LabelPath.parse("z/z/x")] == 0
+        for path in ("z/z", "z/z/x"):
+            assert vector[path_to_domain_index(LabelPath.parse(path), alphabet)] == 0
 
     def test_label_restriction(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 2, labels=["x", "y"])
-        assert len(selectivities) == domain_size(2, 2)
-        assert all(set(path.labels) <= {"x", "y"} for path in selectivities)
-
-    def test_progress_callback_invoked(self, small_graph):
-        calls: list[int] = []
-        compute_selectivities(small_graph, 2, progress=calls.append)
-        # The callback fires every 1000 paths; the k=2 domain of 4 labels has
-        # only 20 paths, so it may legitimately never fire — use k=3 instead.
-        calls_k3: list[int] = []
-        compute_selectivities(small_graph, 3, progress=calls_k3.append)
-        assert calls == [] and calls_k3 == []  # 84 paths < 1000: never fires
+        vector = compute_selectivity_vector(triangle_graph, 2, labels=["x", "y"])
+        assert vector.shape == (domain_size(2, 2),)
+        evaluator = MatrixPathEvaluator(triangle_graph)
+        paths = enumerate_label_paths(["x", "y"], 2)
+        assert vector.tolist() == [evaluator.selectivity(path) for path in paths]
 
     def test_invalid_max_length(self, triangle_graph):
         with pytest.raises(PathError):
-            compute_selectivities(triangle_graph, 0)
+            compute_selectivity_vector(triangle_graph, 0)

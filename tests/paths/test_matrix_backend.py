@@ -1,10 +1,11 @@
-"""Equality gate for the ``backend="matrix"`` catalog construction path.
+"""Equality gate for the matrix-chain catalog kernel, the only builder.
 
-The matrix-chain kernel must be byte-identical to the prefix-sharing DFS
-builders everywhere: randomized graphs across generators and alphabet
-sizes, degenerate domains (single label, labels with no edges, zero
-subtrees), the dense columnar vector, delta-patched rebuilds, and the
-catalog / backend-resolution plumbing around it.
+The kernel must equal the ``oracle`` fixture — one chain product per path
+over ``enumerate_label_paths``, sharing no code with the kernel — and a
+seeded ``BFSPathEvaluator`` sample, everywhere: randomized graphs across
+generators and alphabet sizes, degenerate domains (single label, labels
+with no edges, zero subtrees), the dense columnar vector, delta-patched
+rebuilds, row-sliced last levels, and the ``backend`` plumbing around it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from repro.graph.generators import (
     zipf_labeled_graph,
 )
 from repro.graph.matrices import LabelMatrixStore, block_nonzero_counts, drop_zero_rows
+from repro.paths import enumeration
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    CATALOG_BACKENDS,
+    check_backend,
     compute_selectivity_nonzeros,
     compute_selectivity_vector,
-    resolve_backend,
     update_selectivity_nonzeros,
     update_selectivity_vector,
 )
@@ -65,33 +66,31 @@ GRAPH_CASES = [
 
 class TestMatrixNonzerosEquality:
     @pytest.mark.parametrize("make_graph, k", GRAPH_CASES)
-    def test_matches_dfs_across_generators(self, make_graph, k):
+    def test_matches_dfs_across_generators(self, make_graph, k, oracle):
         graph = make_graph()
-        dfs = compute_selectivity_nonzeros(graph, k)
-        matrix = compute_selectivity_nonzeros(graph, k, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        streams = compute_selectivity_nonzeros(graph, k)
+        assert_streams_identical(streams, oracle.nonzeros(graph, k))
+        vector = compute_selectivity_vector(graph, k)
+        assert oracle.bfs_mismatches(graph, vector) == []
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_dfs_at_small_lengths(self, k):
+    def test_matches_dfs_at_small_lengths(self, k, oracle):
         graph = erdos_renyi_graph(80, 300, 3, seed=23)
-        dfs = compute_selectivity_nonzeros(graph, k)
-        matrix = compute_selectivity_nonzeros(graph, k, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        streams = compute_selectivity_nonzeros(graph, k)
+        assert_streams_identical(streams, oracle.nonzeros(graph, k))
 
-    def test_single_label_alphabet(self):
+    def test_single_label_alphabet(self, oracle):
         graph = erdos_renyi_graph(50, 120, 1, seed=31)
-        dfs = compute_selectivity_nonzeros(graph, 5)
-        matrix = compute_selectivity_nonzeros(graph, 5, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        streams = compute_selectivity_nonzeros(graph, 5)
+        assert_streams_identical(streams, oracle.nonzeros(graph, 5))
 
-    def test_alphabet_with_edgeless_labels_yields_zero_subtrees(self):
+    def test_alphabet_with_edgeless_labels_yields_zero_subtrees(self, oracle):
         # Labels in the alphabet but absent from the graph root empty
-        # subtrees; the kernel must skip them exactly like the DFS does.
+        # subtrees; the kernel must skip them without shifting any index.
         graph = erdos_renyi_graph(60, 200, 2, seed=41)
         labels = sorted(graph.labels()) + ["zz-empty", "zz-empty-2"]
-        dfs = compute_selectivity_nonzeros(graph, 4, labels=labels)
-        matrix = compute_selectivity_nonzeros(graph, 4, labels=labels, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        streams = compute_selectivity_nonzeros(graph, 4, labels=labels)
+        assert_streams_identical(streams, oracle.nonzeros(graph, 4, labels=labels))
 
     def test_edgeless_graph_domain_is_all_zero(self):
         graph = LabeledDiGraph()
@@ -102,39 +101,45 @@ class TestMatrixNonzerosEquality:
         assert indices.size == 0
         assert counts.size == 0
 
-    def test_deep_chain_prunes_exhausted_frontier(self):
+    def test_deep_chain_prunes_exhausted_frontier(self, oracle):
         # A 3-vertex path with one label dies after two hops; levels past
         # the frontier's death must come back empty, not crash.
         graph = LabeledDiGraph()
         graph.add_edge("a", "e", "b")
         graph.add_edge("b", "e", "c")
-        dfs = compute_selectivity_nonzeros(graph, 6)
-        matrix = compute_selectivity_nonzeros(graph, 6, backend="matrix")
-        assert_streams_identical(dfs, matrix)
-        assert matrix[1].tolist() == [2, 1]
+        streams = compute_selectivity_nonzeros(graph, 6)
+        assert_streams_identical(streams, oracle.nonzeros(graph, 6))
+        assert streams[1].tolist() == [2, 1]
 
-    def test_progress_totals_match_serial(self):
-        graph = erdos_renyi_graph(80, 300, 4, seed=23)
-        matrix_ticks: list[int] = []
-        serial_ticks: list[int] = []
-        compute_selectivity_nonzeros(graph, 4, backend="matrix", progress=matrix_ticks.append)
-        compute_selectivity_nonzeros(graph, 4, progress=serial_ticks.append)
-        assert matrix_ticks[-1] == serial_ticks[-1]
+    @pytest.mark.parametrize("slice_rows", [3, 7])
+    def test_last_level_row_slices_are_byte_identical(self, slice_rows, monkeypatch):
+        # Tiny slices make many stacked blocks straddle a slice boundary; a
+        # block miscounted across one would change the streams.
+        graph = erdos_renyi_graph(120, 700, 4, seed=3)
+        streams = compute_selectivity_nonzeros(graph, 4)
+        vector = compute_selectivity_vector(graph, 4)
+        monkeypatch.setattr(enumeration, "_LAST_LEVEL_SLICE_ROWS", slice_rows)
+        assert_streams_identical(compute_selectivity_nonzeros(graph, 4), streams)
+        assert compute_selectivity_vector(graph, 4).tobytes() == vector.tobytes()
 
 
 class TestMatrixVectorEquality:
     @pytest.mark.parametrize("make_graph, k", GRAPH_CASES)
-    def test_matches_columnar_vector(self, make_graph, k):
+    def test_matches_columnar_vector(self, make_graph, k, oracle):
         graph = make_graph()
-        serial = compute_selectivity_vector(graph, k)
-        matrix = compute_selectivity_vector(graph, k, backend="matrix")
-        assert np.array_equal(serial, matrix)
+        vector = compute_selectivity_vector(graph, k)
+        assert vector.dtype == np.int64
+        assert np.array_equal(vector, oracle.vector(graph, k))
+        # The dense and sparse builds are the same counts in two layouts.
+        indices, counts = compute_selectivity_nonzeros(graph, k)
+        assert np.array_equal(np.flatnonzero(vector), indices)
+        assert np.array_equal(vector[indices], counts)
 
-    def test_matches_other_backends(self):
+    def test_matches_other_backends(self, oracle):
         graph = zipf_labeled_graph(200, 250, 8, skew=0.8, seed=19)
-        reference = compute_selectivity_vector(graph, 4)
-        for backend in ("thread", "matrix"):
-            vector = compute_selectivity_vector(graph, 4, backend=backend, workers=4)
+        reference = oracle.vector(graph, 4)
+        for backend in (None, "matrix"):
+            vector = compute_selectivity_vector(graph, 4, backend=backend)
             assert np.array_equal(reference, vector), backend
 
 
@@ -153,7 +158,7 @@ class TestMatrixDeltaRebuilds:
                 additions.append((source, label, target))
         return GraphDelta(additions=additions, removals=(tuple(removal),))
 
-    def test_patched_nonzeros_match_cold_dfs_rebuild(self):
+    def test_patched_nonzeros_match_cold_dfs_rebuild(self, oracle):
         graph = zipf_labeled_graph(150, 200, 10, skew=0.8, seed=37)
         labels = sorted(graph.labels())
         old = compute_selectivity_nonzeros(graph, 4, labels=labels)
@@ -164,8 +169,9 @@ class TestMatrixDeltaRebuilds:
         )
         cold = compute_selectivity_nonzeros(graph, 4, labels=labels)
         assert_streams_identical(patched, cold)
+        assert_streams_identical(patched, oracle.nonzeros(graph, 4, labels=labels))
 
-    def test_patched_vector_matches_cold_rebuild(self):
+    def test_patched_vector_matches_cold_rebuild(self, oracle):
         graph = erdos_renyi_graph(100, 500, 5, seed=43)
         labels = sorted(graph.labels())
         old = compute_selectivity_vector(graph, 4, labels=labels)
@@ -176,6 +182,7 @@ class TestMatrixDeltaRebuilds:
         )
         cold = compute_selectivity_vector(graph, 4, labels=labels)
         assert np.array_equal(patched, cold)
+        assert np.array_equal(patched, oracle.vector(graph, 4, labels=labels))
 
     def test_stale_entries_inside_affected_subtree_are_cleared(self):
         # A removal that zeroes previously nonzero paths exercises the
@@ -195,35 +202,25 @@ class TestMatrixDeltaRebuilds:
 
 
 class TestCatalogAndPlumbing:
-    def test_catalog_from_graph_sparse_storage(self):
+    def test_catalog_from_graph_sparse_storage(self, oracle):
         graph = zipf_labeled_graph(200, 200, 8, skew=0.8, seed=53)
-        dfs = SelectivityCatalog.from_graph(graph, 4, storage="sparse")
-        matrix = SelectivityCatalog.from_graph(
+        catalog = SelectivityCatalog.from_graph(
             graph, 4, storage="sparse", backend="matrix"
         )
-        assert_streams_identical(dfs.nonzero_arrays(), matrix.nonzero_arrays())
+        assert catalog.storage == "sparse"
+        assert_streams_identical(catalog.nonzero_arrays(), oracle.nonzeros(graph, 4))
 
-    def test_catalog_from_graph_dense_storage(self):
+    def test_catalog_from_graph_dense_storage(self, oracle):
         graph = erdos_renyi_graph(80, 400, 4, seed=59)
-        dfs = SelectivityCatalog.from_graph(graph, 3, storage="dense")
-        matrix = SelectivityCatalog.from_graph(
-            graph, 3, storage="dense", backend="matrix"
-        )
-        assert np.array_equal(dfs.frequency_vector(), matrix.frequency_vector())
+        catalog = SelectivityCatalog.from_graph(graph, 3, storage="dense")
+        assert np.array_equal(catalog.frequency_vector(), oracle.vector(graph, 3))
 
     def test_matrix_is_a_registered_backend(self):
-        assert "matrix" in CATALOG_BACKENDS
-
-    def test_resolve_backend_matrix_is_single_worker(self):
-        assert resolve_backend("matrix") == ("matrix", 1)
-        # Unlike thread/process, a worker count of one must not degrade the
-        # matrix backend to serial, and larger counts are ignored.
-        assert resolve_backend("matrix", 1, 20) == ("matrix", 1)
-        assert resolve_backend("matrix", 8, 20) == ("matrix", 1)
-
-    def test_resolve_backend_rejects_bad_workers(self):
-        with pytest.raises(PathError):
-            resolve_backend("matrix", 0)
+        check_backend(None)
+        check_backend("matrix")
+        for retired in ("serial", "thread", "process"):
+            with pytest.raises(PathError):
+                check_backend(retired)
 
 
 class TestStackedFrontierHelpers:

@@ -11,7 +11,6 @@ from repro.graph.generators import zipf_labeled_graph
 from repro.graph.matrices import LabelMatrixStore
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    compute_selectivities,
     compute_selectivity_vector,
     domain_size,
     enumerate_label_paths,
@@ -19,15 +18,13 @@ from repro.paths.enumeration import (
 
 
 def reference_vector(graph: LabeledDiGraph, max_length: int) -> np.ndarray:
-    """The dict builder's output, re-laid-out in canonical domain order."""
-    selectivities = compute_selectivities(graph, max_length)
-    return np.array(
-        [
-            selectivities[path]
-            for path in enumerate_label_paths(graph.labels(), max_length)
-        ],
-        dtype=np.int64,
-    )
+    """A path -> count dict of per-path chain products, in canonical order."""
+    store = LabelMatrixStore(graph)
+    selectivities = {
+        path: store.path_selectivity(path.labels)
+        for path in enumerate_label_paths(graph.labels(), max_length)
+    }
+    return np.array(list(selectivities.values()), dtype=np.int64)
 
 
 class TestVectorMatchesDictBuilder:
@@ -47,31 +44,18 @@ class TestBackendEquality:
     def graph(self) -> LabeledDiGraph:
         return zipf_labeled_graph(60, 280, 6, skew=1.0, seed=11, name="backends")
 
-    def test_serial_thread_process_identical(self, graph):
-        serial = compute_selectivity_vector(graph, 3, backend="serial")
-        thread = compute_selectivity_vector(graph, 3, backend="thread", workers=4)
-        process = compute_selectivity_vector(graph, 3, backend="process", workers=2)
-        assert np.array_equal(serial, thread)
-        assert np.array_equal(serial, process)
-
-    def test_catalog_backends_identical(self, graph):
-        serial = SelectivityCatalog.from_graph(graph, 2)
-        thread = SelectivityCatalog.from_graph(graph, 2, workers=3, backend="thread")
-        process = SelectivityCatalog.from_graph(graph, 2, workers=2, backend="process")
-        assert np.array_equal(serial.frequency_vector(), thread.frequency_vector())
-        assert np.array_equal(serial.frequency_vector(), process.frequency_vector())
-
-    def test_workers_one_degrades_to_serial(self, graph):
-        one = compute_selectivity_vector(graph, 2, backend="process", workers=1)
-        assert np.array_equal(one, compute_selectivity_vector(graph, 2))
+    def test_catalog_backends_identical(self, graph, oracle):
+        reference = oracle.vector(graph, 2)
+        for backend in (None, "matrix"):
+            for storage in ("dense", "sparse"):
+                catalog = SelectivityCatalog.from_graph(
+                    graph, 2, backend=backend, storage=storage
+                )
+                assert np.array_equal(catalog.frequency_vector(), reference)
 
     def test_unknown_backend_rejected(self, graph):
         with pytest.raises(PathError):
             compute_selectivity_vector(graph, 2, backend="fork-bomb")
-
-    def test_bad_worker_count_rejected(self, graph):
-        with pytest.raises(PathError):
-            compute_selectivity_vector(graph, 2, workers=0)
 
 
 class TestZeroSubtreeSliceFill:
@@ -92,37 +76,3 @@ class TestZeroSubtreeSliceFill:
             enumerate_label_paths(chain_graph.labels(), 4)
         ):
             assert vector[index] == store.path_selectivity(path.labels), str(path)
-
-    def test_zero_subtrees_account_progress(self, chain_graph):
-        seen: list[int] = []
-        compute_selectivity_vector(chain_graph, 6, progress=seen.append)
-        assert seen, "progress never fired on a zero-dominated domain"
-        assert max(seen) == domain_size(2, 6)
-
-    def test_dict_builder_progress_covers_zero_subtrees(self, chain_graph):
-        # Satellite regression: the dict builder's progress used to stall
-        # while zero subtrees were recorded.
-        seen: list[int] = []
-        compute_selectivities(chain_graph, 10, progress=seen.append)
-        total = domain_size(2, 10)
-        assert seen, "progress never fired while recording zero subtrees"
-        assert max(seen) > total // 2
-
-
-class TestProgressParity:
-    def test_thread_progress_reports_combined_total(self):
-        graph = zipf_labeled_graph(30, 150, 10, skew=1.0, seed=5, name="progress")
-        seen: list[int] = []
-        compute_selectivity_vector(
-            graph, 4, backend="thread", workers=4, progress=seen.append
-        )
-        total = domain_size(graph.label_count, 4)
-        assert seen and max(seen) == total
-
-    def test_process_progress_ticks_per_subtree(self):
-        graph = zipf_labeled_graph(30, 150, 4, skew=1.0, seed=5, name="progress-p")
-        seen: list[int] = []
-        compute_selectivity_vector(
-            graph, 3, backend="process", workers=2, progress=seen.append
-        )
-        assert seen and max(seen) == domain_size(4, 3)

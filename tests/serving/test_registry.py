@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.engine import ArtifactCache, EngineConfig
-from repro.exceptions import ServingError, UnknownGraphError
+from repro.exceptions import PathError, ServingError, UnknownGraphError
 from repro.graph.generators import zipf_labeled_graph
 from repro.serving import SessionRegistry
 
@@ -27,6 +27,11 @@ class TestRegistration:
             registry.register("g", graph=_graph(1), path="also.tsv")
         with pytest.raises(ServingError):
             registry.register("", graph=_graph(1))
+
+    def test_backend_accepts_only_matrix(self):
+        SessionRegistry(backend="matrix")
+        with pytest.raises(PathError):
+            SessionRegistry(backend="process")
 
     def test_unknown_graph_raises_with_available_names(self):
         registry = SessionRegistry(default_config=CONFIG)

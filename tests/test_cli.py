@@ -259,30 +259,41 @@ class TestSharedEngineFlagBlock:
             assert args.buckets == 64
             assert args.histogram == "v-optimal"
             assert args.storage == "auto"
-            assert args.build_workers is None
+            assert args.backend is None
 
     def test_catalog_carries_construction_flags_only(self):
         args = build_parser().parse_args(
             [
                 "catalog", "g.tsv", "-o", "c.npz",
-                "-k", "4", "--storage", "sparse", "--workers", "2",
+                "-k", "4", "--storage", "sparse", "--backend", "matrix",
             ]
         )
         assert args.max_length == 4
         assert args.storage == "sparse"
-        assert args.build_workers == 2
+        assert args.backend == "matrix"
         assert not hasattr(args, "ordering")
         assert not hasattr(args, "buckets")
 
     def test_serve_separates_process_and_build_workers(self):
+        # --workers on serve counts serving processes; catalog builds take no
+        # worker count at all.
         args = build_parser().parse_args(
-            [
-                "serve", "--graph", "g=g.tsv",
-                "--workers", "4", "--build-workers", "2",
-            ]
+            ["serve", "--graph", "g=g.tsv", "--workers", "4"]
         )
         assert args.workers == 4
-        assert args.build_workers == 2
+        assert not hasattr(args, "build_workers")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["engine", "build", "g.tsv", "--backend", "serial"],
+            ["engine", "build", "g.tsv", "--workers", "2"],
+            ["serve", "--graph", "g=g.tsv", "--build-workers", "2"],
+        ],
+    )
+    def test_matrix_is_the_only_build_option(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_serve_rejects_zero_workers(self, capsys):
         assert main(["serve", "--graph", "g=missing.tsv", "--workers", "0"]) == 2
