@@ -10,8 +10,9 @@ as the current run.  Two things are checked:
   coalesced ≥ 5×, delta ≥ 5×, sparse build ≥ 2×, stacked kernel ≥ 2× its
   per-first-label runs, sparse artifact ≤ 5%, sparse serve RSS
   < 1 GiB, chaos availability ≥ 99%, open-circuit fast-fail < 10 ms,
-  pre-fork serving ≥ 2× single-process QPS with p99 ≤ 1.5×, extra mmap
-  worker ≤ 25% of a private catalog copy, remote warm-start ≥ 10×,
+  8-path keep-alive request p50 ≤ 2 ms, pre-fork serving ≥ 2×
+  single-process QPS with p99 ≤ 1.5×, extra mmap worker ≤ 25% of a
+  private catalog copy, remote warm-start ≥ 10×,
   remote availability ≥ 99% under store faults, open remote breaker
   fast-fail < 10 ms, ...)
   still holds for the current numbers — so a PR cannot silently relax a
@@ -62,6 +63,7 @@ FLOORS: tuple[tuple[str, str, str, str], ...] = (
     ("chaos", "availability", "availability_floor", ">="),
     ("chaos", "circuit_fast_fail_seconds", "fast_fail_ceiling_seconds", "<="),
     ("obs", "overhead_ratio", "overhead_ratio_floor", ">="),
+    ("latency", "p50_ms", "p50_ceiling_ms", "<="),
     ("load", "multi_speedup", "multi_speedup_floor", ">="),
     ("load", "p99_ratio", "p99_ratio_ceiling", "<="),
     (
@@ -152,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             ("sparse", "sparse-catalog"),
             ("chaos", "chaos-smoke"),
             ("obs", "observability"),
+            ("latency", "keep-alive latency"),
             ("load", "serving-load"),
             ("remote", "remote-artifact-tier"),
         ):

@@ -35,7 +35,8 @@ density, sparse histogram boundaries diverging from the dense build,
 ``repro serve`` exceeding 1 GiB peak RSS on that domain, or any chaos
 floor: availability under fault injection < 99%, a hung request thread, a
 worker crash or corrupt artifact that is not transparently healed, an open
-circuit answering in ≥ 10 ms, or any serving-load floor: (on ≥ 4-core
+circuit answering in ≥ 10 ms, an 8-path keep-alive request p50 above
+2 ms, or any serving-load floor: (on ≥ 4-core
 machines) the pre-fork tier < 2× single-process QPS or p99 > 1.5× under 32
 keep-alive clients, or each extra mmap worker costing > 25% of a private
 catalog copy, or any remote-tier floor: a fresh replica warm-starting from
@@ -167,6 +168,15 @@ REMOTE_FAST_FAIL_CEILING_SECONDS = bench_remote.FAST_FAIL_CEILING_SECONDS
 #: stack on (metrics + per-request traces) relative to the kill-switched
 #: baseline: instrumentation may cost at most 5% of throughput.
 OBS_OVERHEAD_RATIO_FLOOR = 0.95
+
+#: Ceiling on the p50 of an 8-path ``/v1/estimate`` sent sequentially over
+#: one keep-alive connection (median of ``LATENCY_TRIALS`` trials).  The
+#: session's work is ~20 µs and a stall-free request measures ~1 ms; a
+#: Nagle/delayed-ACK stall puts it at >= 40 ms and an always-paid
+#: coalescing window at >= 2 ms.
+LATENCY_P50_CEILING_MS = 2.0
+LATENCY_TRIALS = 5
+LATENCY_PATHS_PER_REQUEST = 8
 
 
 class FloorFailure(AssertionError):
@@ -979,6 +989,95 @@ def measure_obs(quick: bool) -> dict[str, object]:
     return report
 
 
+def measure_latency(quick: bool) -> dict[str, object]:
+    """Sequential keep-alive latency of one small request, by layer.
+
+    One ``http.client`` connection sends ``LATENCY_PATHS_PER_REQUEST``-path
+    ``/v1/estimate`` requests back to back to an in-process server with the
+    ``repro serve`` defaults (2 ms window, 64-path early close) — the
+    optimizer's per-plan lookup.  Each of ``LATENCY_TRIALS`` trials yields
+    a p50; the section records their median (gated at
+    :data:`LATENCY_P50_CEILING_MS`) and spread.  The per-layer table is the
+    mean of every span over the requests ``/traces`` retains, beside the
+    mean traced request time.
+    """
+    import http.client
+    import statistics
+    import threading
+
+    import numpy as np
+
+    from repro.datasets.registry import load_dataset
+    from repro.engine import EngineConfig
+    from repro.paths.enumeration import enumerate_label_paths
+    from repro.serving import SessionRegistry, make_server
+
+    requests_per_trial = 200 if quick else 500
+    graph = load_dataset("moreno-health", scale=0.03, seed=11)
+    config = EngineConfig(max_length=3, ordering="sum-based", bucket_count=32)
+    registry = SessionRegistry(default_config=config)
+    registry.register("moreno", graph=graph)
+    session = registry.get("moreno")
+    domain = [
+        str(path)
+        for path in enumerate_label_paths(session.catalog.labels, config.max_length)
+    ]
+    rng = np.random.default_rng(7)
+    paths = [domain[i] for i in rng.integers(0, len(domain), LATENCY_PATHS_PER_REQUEST)]
+    body = json.dumps({"graph": "moreno", "paths": paths}).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+
+    server = make_server(registry, port=0)
+    host, port = server.server_address[:2]
+    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server_thread.start()
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+
+    def send() -> float:
+        started = time.perf_counter()
+        conn.request("POST", "/v1/estimate", body=body, headers=headers)
+        response = conn.getresponse()
+        response.read()
+        elapsed = time.perf_counter() - started
+        if response.status != 200:
+            raise FloorFailure(f"latency probe answered HTTP {response.status}")
+        return elapsed
+
+    try:
+        for _ in range(50):  # connection, allocator and cache warmup
+            send()
+        trial_p50s = [
+            statistics.median(send() for _ in range(requests_per_trial)) * 1000.0
+            for _ in range(LATENCY_TRIALS)
+        ]
+        conn.request("GET", "/traces")
+        traces = json.loads(conn.getresponse().read())["recent"]
+    finally:
+        conn.close()
+        server.shutdown()
+        server.close()
+        server_thread.join(timeout=15)
+
+    layer_seconds: dict[str, list[float]] = {}
+    for trace in traces:
+        for span in trace["spans"]:
+            layer_seconds.setdefault(span["name"], []).append(span["seconds"])
+    layers_ms = {name: sum(v) / len(traces) * 1000.0 for name, v in layer_seconds.items()}
+    return {
+        "paths_per_request": LATENCY_PATHS_PER_REQUEST,
+        "requests_per_trial": requests_per_trial,
+        "trials": LATENCY_TRIALS,
+        "trial_p50_ms": trial_p50s,
+        "p50_ms": statistics.median(trial_p50s),
+        "p50_spread_ms": max(trial_p50s) - min(trial_p50s),
+        "p50_ceiling_ms": LATENCY_P50_CEILING_MS,
+        "traced_requests": len(traces),
+        "trace_ms": statistics.mean(t["seconds"] for t in traces) * 1000.0,
+        "layers_ms": layers_ms,
+        "layer_sum_ms": sum(layers_ms.values()),
+    }
+
+
 def measure_load(quick: bool) -> dict[str, object]:
     """The keep-alive serving-load scenario (see ``benchmarks/bench_load.py``).
 
@@ -1038,6 +1137,7 @@ def main(argv: list[str] | None = None) -> int:
         sparse = measure_sparse(args.quick)
         chaos = measure_chaos(args.quick)
         obs = measure_obs(args.quick)
+        latency = measure_latency(args.quick)
         load = measure_load(args.quick)
         remote = measure_remote(args.quick)
     except FloorFailure as exc:
@@ -1048,7 +1148,7 @@ def main(argv: list[str] | None = None) -> int:
     total_seconds = time.perf_counter() - started
 
     document = {
-        "schema": "repro-bench/v11",
+        "schema": "repro-bench/v12",
         "quick": args.quick,
         "python": sys.version.split()[0],
         "generated_unix": time.time(),
@@ -1060,6 +1160,7 @@ def main(argv: list[str] | None = None) -> int:
         "sparse": sparse,
         "chaos": chaos,
         "obs": obs,
+        "latency": latency,
         "load": load,
         "remote": remote,
     }
@@ -1097,6 +1198,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(circuit fast-fail {chaos['circuit_fast_fail_seconds'] * 1000:.2f}ms), "
         f"obs overhead ratio {obs['overhead_ratio']:.3f} "
         f"(floor {obs['overhead_ratio_floor']}), "
+        f"keep-alive {latency['paths_per_request']}-path p50 "
+        f"{latency['p50_ms']:.2f}ms (ceiling {latency['p50_ceiling_ms']}ms), "
         f"load {load['workers']}-worker {load['multi_qps']:.0f} qps vs "
         f"single {load['single_qps']:.0f} qps on {load['cpu_count']} cores "
         f"(extra-worker RSS {_format_fraction(load['extra_worker_rss_fraction'])} "
@@ -1258,6 +1361,17 @@ def collect_floor_failures(document: dict) -> list[str]:
                 f"observability overhead: instrumented serving runs at "
                 f"{ratio:.1%} of the kill-switched baseline "
                 f"(floor {ratio_floor:.0%})"
+            )
+    latency = document.get("latency")
+    if latency is None:
+        failures.append("latency section missing from the benchmark document")
+    else:
+        ceiling = latency.get("p50_ceiling_ms", LATENCY_P50_CEILING_MS)
+        if latency["p50_ms"] > ceiling:
+            failures.append(
+                f"keep-alive {latency['paths_per_request']}-path p50 "
+                f"{latency['p50_ms']:.2f} ms > {ceiling} ms ceiling "
+                f"(median of {latency['trials']} trials)"
             )
     load = document.get("load")
     if load is None:

@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-ms",
         type=float,
         default=2.0,
-        help="micro-batching coalescing window (milliseconds)",
+        help="micro-batching coalescing window (milliseconds); paid only while "
+        "other requests are in flight and could still join the batch",
     )
     serve.add_argument(
         "--max-batch", type=int, default=512, help="path budget per coalesced batch"

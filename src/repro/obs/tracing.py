@@ -30,7 +30,7 @@ import logging
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Iterator, Optional
 
 __all__ = [
@@ -135,14 +135,9 @@ class Trace:
         with self._lock:
             self._spans.append(Span(name, seconds, dict(attrs)))
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[None]:
+    def span(self, name: str, **attrs: object) -> AbstractContextManager[None]:
         """Time the enclosed block and attach it as a span."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_span(name, time.perf_counter() - started, **attrs)
+        return _TimedSpan(self, name, attrs)
 
     def finish(self, status: Optional[int] = None) -> float:
         """Seal the trace with the response ``status``; returns total seconds.
@@ -175,6 +170,29 @@ class Trace:
             }
 
 
+class _TimedSpan:
+    """Context manager timing one block into a trace.
+
+    A plain class rather than a ``@contextmanager`` generator: the request
+    path opens several spans per request, and a generator costs several
+    times as much to enter and leave.
+    """
+
+    __slots__ = ("_trace", "_name", "_attrs", "_started")
+
+    def __init__(self, trace: Trace, name: str, attrs: dict[str, object]) -> None:
+        self._trace = trace
+        self._name = name
+        self._attrs = attrs
+        self._started = 0.0
+
+    def __enter__(self) -> None:
+        self._started = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._trace.add_span(self._name, time.perf_counter() - self._started, **self._attrs)
+
+
 def current_trace() -> Optional[Trace]:
     """The trace active on this thread/context, if any."""
     return _current.get()
@@ -194,8 +212,10 @@ def activate(trace: Optional[Trace]) -> Iterator[Optional[Trace]]:
         _current.reset(token)
 
 
-@contextmanager
-def span(name: str, **attrs: object) -> Iterator[None]:
+_NO_SPAN = nullcontext()
+
+
+def span(name: str, **attrs: object) -> AbstractContextManager[None]:
     """Time the enclosed block into the active trace — no-op without one.
 
     This is the hook the engine and registry call: library users who never
@@ -203,10 +223,8 @@ def span(name: str, **attrs: object) -> Iterator[None]:
     """
     trace = _current.get()
     if trace is None:
-        yield
-        return
-    with trace.span(name, **attrs):
-        yield
+        return _NO_SPAN
+    return _TimedSpan(trace, name, attrs)
 
 
 class TraceStore:

@@ -5,7 +5,9 @@
 of replicas whose :class:`~repro.engine.remote.RemoteArtifactStore` clients
 fetch on local miss and push after cold builds.  Like the estimation
 endpoint it is a bare :class:`http.server.ThreadingHTTPServer` — no
-framework, no dependencies.
+framework, no dependencies — and it shares that endpoint's transport:
+``TCP_NODELAY`` and one write per response, so a fetch never waits on
+Nagle's algorithm and the client's delayed ACK.
 
 Routes
 ------
@@ -46,12 +48,13 @@ import os
 import re
 import threading
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.exceptions import ServingError
 from repro.obs.metrics import Counter, MetricsRegistry, default_registry
+from repro.serving.http import _OneWriteHandler
 
 __all__ = ["ArtifactHTTPServer", "make_artifact_server", "ARTIFACTS_PREFIX"]
 
@@ -188,13 +191,9 @@ class ArtifactHTTPServer(ThreadingHTTPServer):
         return True
 
 
-class _ArtifactHandler(BaseHTTPRequestHandler):
+class _ArtifactHandler(_OneWriteHandler):
     server: ArtifactHTTPServer  # narrowed for attribute access
     server_version = "repro-artifacts/1.0"
-    protocol_version = "HTTP/1.1"
-
-    _request_id = ""
-    _status = 0
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Suppress per-request logging unless the server runs verbose."""
@@ -212,34 +211,8 @@ class _ArtifactHandler(BaseHTTPRequestHandler):
     def _finish(self, method: str) -> None:
         self.server.observe(method=method, status=self._status)
 
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        *,
-        content_type: str,
-        digest: Optional[str] = None,
-        head: bool = False,
-        length: Optional[int] = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body) if length is None else length))
-        if digest is not None:
-            self.send_header("X-Content-Sha256", digest)
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        if not head:
-            self.wfile.write(body)
-
     def _send_json(self, status: int, document: object) -> None:
-        self._send_bytes(
-            status,
-            json.dumps(document).encode("utf-8"),
-            content_type="application/json",
-        )
+        self._respond(status, json.dumps(document).encode("utf-8"), "application/json")
 
     def _send_error_json(
         self, status: int, message: str, *, code: Optional[str] = None
@@ -297,10 +270,10 @@ class _ArtifactHandler(BaseHTTPRequestHandler):
                         503, "store directory is not writable", code="not_ready"
                     )
             elif self.path == "/metrics":
-                self._send_bytes(
+                self._respond(
                     200,
                     self.server.metrics.render().encode("utf-8"),
-                    content_type="text/plain; version=0.0.4; charset=utf-8",
+                    "text/plain; version=0.0.4; charset=utf-8",
                 )
             elif self.path == ARTIFACTS_PREFIX:
                 self._send_json(200, {"artifacts": self.server.index()})
@@ -335,13 +308,12 @@ class _ArtifactHandler(BaseHTTPRequestHandler):
         if digest is None:
             # Deleted between read and stat; hash what was actually read.
             digest = hashlib.sha256(body).hexdigest()
-        self._send_bytes(
+        self._respond(
             200,
-            b"" if head else body,
-            content_type="application/octet-stream",
-            digest=digest,
+            body,
+            "application/octet-stream",
+            headers=(("X-Content-Sha256", digest),),
             head=head,
-            length=len(body),
         )
         if not head:
             self.server._bytes_served.inc(len(body))

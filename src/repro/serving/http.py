@@ -39,8 +39,18 @@ taken from the client's ``X-Request-Id`` header when present (minted
 otherwise), echoed back on the response, propagated through the scheduler
 into the registry/session spans, logged as one structured line when
 ``repro serve --log-json`` is on, and retained for ``GET /traces``.
+Besides the scheduler/session spans, the handler records its own layers:
+``http.read`` (the request body off the socket), ``json.decode``,
+``json.encode`` and ``socket.write`` (the response).
 Request counts and latency feed ``repro_http_requests_total`` /
 ``repro_http_request_seconds`` in the shared metrics registry.
+
+Transport
+---------
+Handlers set ``TCP_NODELAY`` and send each response — status line, headers
+and body — in one write.  Two small writes on a keep-alive connection
+otherwise meet Nagle's algorithm on the server and the client's delayed ACK,
+stalling every response by ~40 ms.
 
 Error mapping
 -------------
@@ -84,12 +94,10 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
 import time
-from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.exceptions import (
     CircuitOpenError,
@@ -189,8 +197,6 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         self.retry_after_seconds = retry_after_seconds
         self.verbose = verbose
         self._serving = False
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self.metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else TraceStore()
         self.health = health if health is not None else HealthState()
@@ -265,17 +271,6 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         finally:
             self._serving = False
 
-    @contextmanager
-    def track_request(self) -> Iterator[None]:
-        """Count one in-flight handler for the graceful-drain window."""
-        with self._inflight_lock:
-            self._inflight += 1
-        try:
-            yield
-        finally:
-            with self._inflight_lock:
-                self._inflight -= 1
-
     def close(self, drain_seconds: float = 5.0) -> None:
         """Graceful shutdown: stop accepts, drain work, answer, then close.
 
@@ -284,30 +279,79 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         future), wait up to ``drain_seconds`` for in-flight handler threads
         to write their responses (``daemon_threads`` means ``server_close``
         would otherwise abandon them mid-write), and only then release the
-        socket.
+        socket.  The in-flight count is the scheduler's
+        (:meth:`~repro.serving.scheduler.EstimateScheduler.track_request`),
+        the same one that tells its worker when a batch is complete.
         """
         self.begin_drain()
         if self._serving:
             self.shutdown()
         self.scheduler.close()
         deadline = time.monotonic() + drain_seconds
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if self._inflight == 0:
-                    break
+        while time.monotonic() < deadline and self.scheduler.inflight:
             time.sleep(0.01)
         self.server_close()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: EstimationHTTPServer  # narrowed for attribute access
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
+class _OneWriteHandler(BaseHTTPRequestHandler):
+    """A handler that answers with ``TCP_NODELAY`` and one write per response.
 
-    #: Filled per request by :meth:`_observe`; defaults keep the error
-    #: paths that bypass it (malformed request lines) safe.
+    Shared by the estimation and artifact servers.  Writing the header block
+    and the body separately lets Nagle's algorithm hold the body back until
+    the client ACKs the headers, which a keep-alive client delays by ~40 ms.
+    """
+
+    protocol_version = "HTTP/1.1"
+    # StreamRequestHandler.setup() sets TCP_NODELAY on the connection.
+    disable_nagle_algorithm = True
+
+    #: Filled per request by the subclass; defaults keep the error paths
+    #: that bypass it (malformed request lines) safe.
     _request_id = ""
     _status = 0
+    #: Called once the response is composed, just before it is written.
+    _on_response: Optional[Callable[[], None]] = None
+
+    def _respond(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        *,
+        headers: Iterable[tuple[str, str]] = (),
+        head: bool = False,
+    ) -> None:
+        """Send status, headers and ``body`` in one write.
+
+        ``Content-Length`` is always ``len(body)``; with ``head`` only the
+        headers go out, so a HEAD answer advertises what its GET would send.
+        """
+        self._status = status
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if self._request_id:
+            self.send_header("X-Request-Id", self._request_id)
+        for name, value in headers:
+            self.send_header(name, value)
+        payload = b"" if head else body
+        if self._on_response is not None:
+            self._on_response()
+        with tracing.span("socket.write", bytes=len(payload)):
+            if self.request_version == "HTTP/0.9":
+                # No status line or headers in HTTP/0.9 (a malformed request
+                # line is parsed as one): end_headers() would send nothing.
+                self.wfile.write(payload)
+            else:
+                # What end_headers() appends, with the body queued behind it
+                # so flush_headers() sends everything in a single write.
+                self._headers_buffer.extend((b"\r\n", payload))
+                self.flush_headers()
+
+
+class _Handler(_OneWriteHandler):
+    server: EstimationHTTPServer  # narrowed for attribute access
+    server_version = "repro-serve/1.0"
 
     # ------------------------------------------------------------------
     # plumbing
@@ -326,27 +370,18 @@ class _Handler(BaseHTTPRequestHandler):
             return path[len(API_PREFIX) :]
         return path
 
-    def _send_json(self, status: int, document: object) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(
+        self,
+        status: int,
+        document: object,
+        headers: Iterable[tuple[str, str]] = (),
+    ) -> None:
+        with tracing.span("json.encode"):
+            body = json.dumps(document).encode("utf-8")
+        self._respond(status, body, "application/json", headers=headers)
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
+        self._respond(status, text.encode("utf-8"), content_type)
 
     def _send_error_json(
         self,
@@ -373,19 +408,10 @@ class _Handler(BaseHTTPRequestHandler):
         }
         if extra:
             envelope.update(extra)
-        body = json.dumps(envelope).encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        if retry_after is not None:
-            # Decimal seconds: an internal convention the ServiceClient
-            # parses; sub-second hints matter at micro-batching timescales.
-            self.send_header("Retry-After", f"{retry_after:.3f}")
-        self.end_headers()
-        self.wfile.write(body)
+        # Decimal seconds: an internal convention the ServiceClient parses;
+        # sub-second hints matter at micro-batching timescales.
+        headers = () if retry_after is None else (("Retry-After", f"{retry_after:.3f}"),)
+        self._send_json(status, envelope, headers)
 
     def send_error(  # noqa: D102 - BaseHTTPRequestHandler API
         self, code: int, message: Optional[str] = None, explain: Optional[str] = None
@@ -400,13 +426,19 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def _observe(self, method: str, route_fn: "Callable[[], None]") -> None:
-        """Run one routed request under a trace, then feed the HTTP metrics.
+        """Run one routed request under a trace, feeding the HTTP metrics.
 
         The request id comes from the client's ``X-Request-Id`` header when
         present (so client and server logs correlate) and is echoed on the
         response either way.  The trace is active for the whole handler, so
         the scheduler submit path captures it into the queued request and
         the worker's spans land here.
+
+        The request is observed — metrics fed, trace sealed and retained —
+        just before its response is written, so a client reading
+        ``/metrics`` or ``/traces`` right after its answer sees it.  The
+        ``socket.write`` span therefore joins the trace after it is sealed,
+        and the JSON log line is emitted once the write is done.
         """
         rid = (self.headers.get("X-Request-Id") or "").strip()
         self._request_id = rid if rid else tracing.new_request_id()
@@ -415,7 +447,23 @@ class _Handler(BaseHTTPRequestHandler):
         route = normalized if normalized in _KNOWN_ROUTES else "other"
         traced = tracing.tracing_enabled()
         trace = Trace(self._request_id, route=f"{method} {self.path}") if traced else None
+        retained = trace is not None and normalized not in _UNTRACED_ROUTES
         started = time.perf_counter()
+
+        def settle() -> None:
+            self._on_response = None
+            self.server.observe_http(
+                route=route,
+                method=method,
+                status=self._status,
+                seconds=time.perf_counter() - started,
+            )
+            if trace is not None:
+                trace.finish(self._status if self._status else None)
+                if retained:
+                    self.server.traces.record(trace)
+
+        self._on_response = settle
         try:
             if trace is None:
                 route_fn()
@@ -423,15 +471,10 @@ class _Handler(BaseHTTPRequestHandler):
                 with tracing.activate(trace):
                     route_fn()
         finally:
-            elapsed = time.perf_counter() - started
-            self.server.observe_http(
-                route=route, method=method, status=self._status, seconds=elapsed
-            )
-            if trace is not None:
-                trace.finish(self._status if self._status else None)
-                if normalized not in _UNTRACED_ROUTES:
-                    self.server.traces.record(trace)
-                    tracing.emit_trace(trace)
+            if self._on_response is not None:  # no response was written
+                settle()
+            if retained:
+                tracing.emit_trace(trace)
 
     def _read_json(self) -> Optional[dict[str, object]]:
         try:
@@ -450,9 +493,11 @@ class _Handler(BaseHTTPRequestHandler):
                 413, f"request body of {length} bytes exceeds limit of {limit} bytes"
             )
             return None
-        raw = self.rfile.read(length) if length else b""
+        with tracing.span("http.read", bytes=length):
+            raw = self.rfile.read(length) if length else b""
         try:
-            document = json.loads(raw.decode("utf-8")) if raw else {}
+            with tracing.span("json.decode"):
+                document = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_error_json(400, f"invalid JSON body: {exc}")
             return None
@@ -473,7 +518,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         """Route GET requests: health/readiness, metrics, traces, stats."""
-        with self.server.track_request():
+        with self.server.scheduler.track_request():
             self._observe("GET", self._route_get)
 
     def _reject_removed_alias(self, route: str) -> bool:
@@ -544,7 +589,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         """Route POST requests: ``/estimate``, ``/warm``, ``/evict``, ...."""
-        with self.server.track_request():
+        with self.server.scheduler.track_request():
             self._observe("POST", self._route_post)
 
     def _route_post(self) -> None:

@@ -10,6 +10,15 @@ for more to arrive, groups everything by session, and issues **one**
 :class:`concurrent.futures.Future` resolving to their own slice of the
 results.
 
+The window is paid only while other requests are in flight.  A front end
+(the HTTP server) counts each request it is handling through
+:meth:`EstimateScheduler.track_request`; once the batch holds every
+in-flight request, nothing else can join it and it executes at once, so a
+lone keep-alive client never waits for stragglers that do not exist.  A
+scheduler with no front end (the asyncio service, in-process callers)
+cannot see requests before they are queued and waits out the window as
+before.
+
 Backpressure is the bounded queue: when ``max_pending`` requests are already
 waiting, ``submit`` raises
 :class:`~repro.exceptions.ServiceOverloadedError` instead of queueing more
@@ -37,7 +46,8 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Optional, Sequence, Union
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.exceptions import (
     GraphOverloadedError,
@@ -257,7 +267,10 @@ class EstimateScheduler:
     window_seconds:
         How long the worker keeps collecting after the first request of a
         batch arrives (the micro-batching window).  ``0`` still coalesces
-        whatever is already queued, it just never *waits* for more.
+        whatever is already queued, it just never *waits* for more.  Behind
+        a front end that counts its requests (:meth:`track_request`), the
+        window is paid only while some in-flight request is not yet in the
+        batch; once the batch holds them all it executes at once.
     max_batch_paths:
         Path budget per batch; the worker stops collecting once reached
         (requests are never split across batches, so a batch can overshoot
@@ -316,6 +329,13 @@ class EstimateScheduler:
         # its unresolved futures when the worker crashes.  Only the worker
         # thread reads or writes it, so no lock is needed.
         self._active_batch: Optional[list[_Request]] = None
+        # Requests a front end is handling (see track_request).  The worker
+        # waits on ``_activity`` for stragglers; submissions and finished
+        # requests notify it.  ``_front_end`` stays False for in-process
+        # callers, which keep the plain window.
+        self._activity = threading.Condition()
+        self._inflight = 0
+        self._front_end = False
         self.stats = stats if stats is not None else ServiceStats()
         # Scrape-time gauge: queue depth is read live from the queue rather
         # than written on every put/get (replace-on-register makes the
@@ -334,6 +354,31 @@ class EstimateScheduler:
     def registry(self) -> SessionRegistry:
         """The session registry the scheduler serves from."""
         return self._registry
+
+    @property
+    def inflight(self) -> int:
+        """Front-end requests currently being handled (see :meth:`track_request`)."""
+        return self._inflight
+
+    @contextmanager
+    def track_request(self) -> Iterator[None]:
+        """Count one front-end request in flight for the enclosed block.
+
+        The HTTP server wraps every handler in this, from the moment the
+        request headers are parsed until its response is written.  The
+        worker then waits for stragglers only while some counted request is
+        not yet in the batch, and the server's graceful drain waits for the
+        count to reach zero.
+        """
+        self._front_end = True
+        with self._activity:
+            self._inflight += 1
+        try:
+            yield
+        finally:
+            with self._activity:
+                self._inflight -= 1
+                self._activity.notify()
 
     # ------------------------------------------------------------------
     # submission
@@ -372,6 +417,9 @@ class EstimateScheduler:
             raise ServiceOverloadedError(
                 f"request queue full ({self._queue.maxsize} pending)"
             ) from None
+        if self._front_end:
+            with self._activity:
+                self._activity.notify()
         if request.trace is not None:
             request.trace.add_span(
                 "scheduler.enqueue",
@@ -414,6 +462,8 @@ class EstimateScheduler:
             # worker finishes real work before exiting.  put() may block
             # briefly if the queue is at capacity.
             self._queue.put(_SHUTDOWN)
+            with self._activity:
+                self._activity.notify()
         self._worker.join(timeout=timeout)
         # A submit racing close() can slip its request in *behind* the
         # sentinel; the worker never sees it, so fail it here rather than
@@ -492,19 +542,15 @@ class EstimateScheduler:
                     # Drain whatever is already queued without waiting...
                     extra = self._queue.get_nowait()
                 except queue.Empty:
-                    # ...and only wait out the window for stragglers while
-                    # the batch is still small.  Closed-loop clients (whose
-                    # next request only comes after this batch answers)
-                    # would otherwise pay the full window on every round
-                    # with nothing to show for it.
+                    # ...and only wait for stragglers while the batch is
+                    # still small.  Closed-loop clients (whose next request
+                    # only comes after this batch answers) would otherwise
+                    # pay the full window on every round with nothing to
+                    # show for it.
                     if total_paths >= self._min_coalesce_paths:
                         break
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        extra = self._queue.get(timeout=remaining)
-                    except queue.Empty:
+                    extra = self._next_straggler(len(batch), deadline)
+                    if extra is None:
                         break
                 if extra is _SHUTDOWN:
                     shutdown = True
@@ -516,6 +562,32 @@ class EstimateScheduler:
             self._active_batch = None
             if shutdown:
                 return
+
+    def _next_straggler(self, batched: int, deadline: float) -> Optional[object]:
+        """The next queued item before ``deadline``, or ``None`` if none will join.
+
+        Without a front end the worker cannot see a request before it is
+        queued, so it waits out the window.  With one, it waits only while
+        more requests are in flight than the ``batched`` ones already
+        collected: once the batch holds every in-flight request, it returns
+        ``None`` at once.
+        """
+        if not self._front_end:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                return None
+            try:
+                return self._queue.get(timeout=remaining)
+            except queue.Empty:
+                return None
+        with self._activity:
+            while self._queue.empty():
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0 or self._inflight <= batched:
+                    return None
+                self._activity.wait(remaining)
+        # The worker is the only consumer, so the item seen is still there.
+        return self._queue.get_nowait()
 
     def _execute(self, batch: list[_Request]) -> None:
         """Group, estimate, observe, deliver — in that order.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -170,6 +171,39 @@ class TestEndToEndPropagation:
         assert "scheduler.wait" in names
         assert "scheduler.estimate_batch" in names
         assert "registry.build" in names
+
+    def test_http_layer_spans_account_for_the_request(self, server):
+        host, port = server.server_address[:2]
+        server.registry.get("g")
+        request_id = new_request_id()
+        request = urllib.request.Request(
+            f"http://{host}:{port}/v1/estimate",
+            data=json.dumps({"graph": "g", "paths": ["1/2", "2"]}).encode(),
+            headers={"Content-Type": "application/json", "X-Request-Id": request_id},
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            json.loads(response.read())
+        trace = server.traces.find(request_id)
+        assert trace is not None
+        # The trace is retained before the response leaves; the write's own
+        # span joins it once the write returns.
+        deadline = time.perf_counter() + 10
+        while "socket.write" not in {span.name for span in trace.spans()}:
+            assert time.perf_counter() < deadline, "socket.write span never landed"
+            time.sleep(0.001)
+        spans = {span.name: span for span in trace.spans()}
+        order = [span.name for span in trace.spans()]
+        for name in ("http.read", "json.decode", "json.encode"):
+            assert name in spans
+        # Read and decode come before the scheduler; encode and write after.
+        assert order.index("json.decode") < order.index("scheduler.enqueue")
+        assert order.index("scheduler.estimate_batch") < order.index("json.encode")
+        assert order[-1] == "socket.write"
+        assert spans["http.read"].attrs["bytes"] == len(request.data)
+        # The trace is sealed just before the write, so every other layer
+        # fits inside its duration.
+        sealed = [span.seconds for span in trace.spans() if span.name != "socket.write"]
+        assert sum(sealed) <= trace.seconds
 
     def test_scrape_routes_are_not_traced(self, server):
         host, port = server.server_address[:2]
