@@ -6,13 +6,11 @@ Three artifact kinds are cached, each in its own file under one directory:
   as a compressed NumPy archive (see
   :meth:`repro.paths.catalog.SelectivityCatalog.save_npz`): the columnar
   frequency vector for dense-storage catalogs, the O(nnz)
-  ``nz_indices``/``nz_values`` pair for sparse-storage ones; typically a
-  small fraction of the size of the legacy ``catalog-<key>.json`` form,
-  which is still *read* as a fallback so caches written before the columnar
-  format keep warm-starting;
+  ``nz_indices``/``nz_values`` pair for sparse-storage ones;
 * ``histogram-<key>.json`` — the ordering + bucket table pair;
-* ``positions-<key>.npy`` — the domain-position table used by the batched
-  hot path (the permutation mapping enumeration order to ordering order).
+* ``positions-<key>.npy`` — the rank table dense sessions estimate through
+  (the permutation mapping canonical enumeration order to ordering order);
+  the session checks it is a permutation before adopting it.
 
 Large catalogs additionally get an *uncompressed* mmap sidecar next to the
 ``.npz``: a ``catalog-<key>.npy`` sibling holding the frequency vector for
@@ -45,14 +43,13 @@ ordering, or the histogram parameters lands on a different file and a stale
 artifact can never be served.  The config digest also carries a
 ``catalog_format`` version field (see
 :meth:`repro.engine.session.EngineConfig.catalog_fields`), so a change to the
-artifact layout re-keys every catalog and a pre-columnar JSON entry is never
-half-trusted under a new-format key — the JSON fallback only ever fires for
-files that were written (and fully validated) by an older release under its
-own key.  Writes are atomic (temp file + ``os.replace``) so a crashed build
-never leaves a truncated artifact behind; a crashed *process* can still
-leave its temp file, so cache init sweeps dotfile temps older than an hour
-(counted in :attr:`ArtifactCache.temp_cleaned`) and every artifact glob
-skips in-flight temps.
+artifact layout re-keys every catalog and an entry of an older layout is
+never half-trusted under a new-format key.  Writes are atomic (temp file +
+``os.replace``) so a crashed build never leaves a truncated artifact behind;
+a crashed *process* can still leave its temp file, so cache init sweeps
+dotfile temps older than an hour (counted in
+:attr:`ArtifactCache.temp_cleaned`) and every artifact glob skips in-flight
+temps.
 
 The cache can be backed by a **remote tier**
 (:class:`~repro.engine.remote.RemoteArtifactStore`): on a local miss the
@@ -119,7 +116,7 @@ _TEMP_MAX_AGE_SECONDS = 3600.0
 
 
 class ArtifactCache:
-    """Directory-backed store for catalogs, histograms and position tables.
+    """Directory-backed store for catalogs, histograms and rank tables.
 
     The cache is deliberately dumb: it has no eviction and no locking beyond
     atomic renames, because artifacts are immutable for a given key.  ``hits``
@@ -158,10 +155,6 @@ class ArtifactCache:
         """File path of the catalog artifact for ``key`` (columnar ``.npz``)."""
         return self._root / f"catalog-{key}.npz"
 
-    def legacy_catalog_path(self, key: str) -> Path:
-        """File path of the pre-columnar JSON catalog artifact for ``key``."""
-        return self._root / f"catalog-{key}.json"
-
     def mmap_catalog_path(self, key: str) -> Path:
         """File path of the uncompressed frequency-vector sidecar for ``key``."""
         return self._root / f"catalog-{key}.npy"
@@ -187,22 +180,16 @@ class ArtifactCache:
         return self._root / f"histogram-{key}.json"
 
     def positions_path(self, key: str) -> Path:
-        """File path of the position-table artifact for ``key``."""
+        """File path of the rank-table artifact for ``key``."""
         return self._root / f"positions-{key}.npy"
 
     # ------------------------------------------------------------------
     # catalog
     # ------------------------------------------------------------------
     def load_catalog(
-        self, key: str, *, legacy_key: Optional[str] = None, mmap: bool = False
+        self, key: str, *, mmap: bool = False
     ) -> Optional[SelectivityCatalog]:
-        """The cached catalog for ``key``, or ``None`` on a miss.
-
-        The columnar ``.npz`` artifact is preferred.  A legacy ``.json``
-        artifact written by a pre-columnar release is read as a fallback —
-        under ``legacy_key`` when given (the old releases keyed catalogs
-        without the ``catalog_format`` field, so their keys differ), else
-        under ``key`` itself.
+        """The cached ``.npz`` catalog for ``key``, or ``None`` on a miss.
 
         ``mmap=True`` asks for a memory-mapped catalog: when the matching
         uncompressed sidecar exists — the ``.npy`` frequency vector for a
@@ -214,24 +201,18 @@ class ArtifactCache:
         back to the regular in-memory load, so callers can always pass
         their preference.
 
-        With a remote tier configured, a double local miss (no ``.npz``, no
-        legacy JSON) consults the remote store before giving up; a verified
-        fetch lands the ``.npz`` locally and the load proceeds as a hit.
+        With a remote tier configured, a local miss consults the remote
+        store before giving up; a verified fetch lands the ``.npz`` locally
+        and the load proceeds as a hit.
         """
         faults.fire("cache.load_catalog", key=key)
         path = self.catalog_path(key)
-        if not path.exists():
-            legacy = self.legacy_catalog_path(
-                legacy_key if legacy_key is not None else key
-            )
-            if legacy.exists():
-                path = legacy
-            elif not self._fetch_remote(self.catalog_path(key)):
-                self.misses += 1
-                _CACHE_MISSES.inc(kind="catalog")
-                return None
+        if not path.exists() and not self._fetch_remote(path):
+            self.misses += 1
+            _CACHE_MISSES.inc(kind="catalog")
+            return None
         try:
-            if mmap and path == self.catalog_path(key):
+            if mmap:
                 catalog = self._load_catalog_mmap(key, path)
             else:
                 catalog = SelectivityCatalog.load(path)
@@ -265,15 +246,8 @@ class ArtifactCache:
 
     @staticmethod
     def _corrupt_error(kind: str, path: Path, cause: Exception) -> EngineError:
-        """An :class:`EngineError` for a damaged artifact, carrying its path.
-
-        ``artifact_path`` lets the session quarantine exactly the file that
-        failed to parse (the legacy-JSON fallback lives under a *different*
-        key than the one being loaded, so the key alone cannot name it).
-        """
-        error = EngineError(f"corrupt cached {kind} at {path}: {cause}")
-        error.artifact_path = path
-        return error
+        """An :class:`EngineError` for a damaged artifact at ``path``."""
+        return EngineError(f"corrupt cached {kind} at {path}: {cause}")
 
     def _load_catalog_mmap(self, key: str, npz_path: Path) -> SelectivityCatalog:
         """Catalog with metadata from ``npz_path`` and mmap'd arrays.
@@ -520,12 +494,14 @@ class ArtifactCache:
         return path
 
     # ------------------------------------------------------------------
-    # position table
+    # rank table
     # ------------------------------------------------------------------
     def load_positions(self, key: str) -> Optional[np.ndarray]:
-        """The cached position table for ``key``, or ``None`` on a miss.
+        """The cached rank table for ``key``, or ``None`` on a miss.
 
-        A local miss consults the remote tier when one is configured.
+        A local miss consults the remote tier when one is configured.  Only
+        parse failures raise here; whether the array is a permutation of the
+        session's domain is the session's check.
         """
         path = self.positions_path(key)
         if not path.exists() and not self._fetch_remote(path):
@@ -539,14 +515,14 @@ class ArtifactCache:
             _CACHE_MISSES.inc(kind="positions")
             return None
         except (OSError, ValueError) as exc:
-            raise self._corrupt_error("position table", path, exc) from exc
+            raise self._corrupt_error("rank table", path, exc) from exc
         self.hits += 1
         _CACHE_HITS.inc(kind="positions")
         self._touch(path)
         return positions
 
     def store_positions(self, key: str, positions: np.ndarray) -> Path:
-        """Persist a position table under ``key`` (atomic); returns the path."""
+        """Persist a rank table under ``key`` (atomic); returns the path."""
         path = self.positions_path(key)
         # np.save appends ".npy" unless the name already ends with it.
         temp = self._temp_path(path, suffix=".tmp.npy")
@@ -570,11 +546,7 @@ class ArtifactCache:
         per file moved.
         """
         if kind == "catalog":
-            candidates = (
-                self.catalog_path(key),
-                *self._sidecar_paths(key),
-                self.legacy_catalog_path(key),
-            )
+            candidates = (self.catalog_path(key), *self._sidecar_paths(key))
         elif kind == "histogram":
             candidates = (self.histogram_path(key),)
         elif kind == "positions":
@@ -657,7 +629,6 @@ class ArtifactCache:
         patterns = (
             "catalog-*.npz",
             "catalog-*.npy",
-            "catalog-*.json",
             "histogram-*.json",
             "positions-*.npy",
         )
@@ -684,7 +655,6 @@ class ArtifactCache:
         for path in (
             self.catalog_path(key),
             *self._sidecar_paths(key),
-            self.legacy_catalog_path(key),
             self.histogram_path(key),
             self.positions_path(key),
         ):

@@ -5,10 +5,15 @@ offline pipeline.  It builds the full chain *once* — label matrices →
 selectivity catalog → ordering → histogram — persists the expensive
 artifacts to an :class:`~repro.engine.cache.ArtifactCache` keyed by the graph
 digest and the engine configuration, and then answers selectivity estimates
-in bulk: :meth:`EstimationSession.estimate_batch` maps thousands of paths to
-domain positions through a precomputed table and resolves them against the
-histogram with one vectorised lookup, avoiding the per-path Python overhead
-of calling ``estimate`` in a loop.
+in bulk.  Every batch takes one route from string to estimate:
+
+1. :func:`~repro.paths.index.paths_to_domain_indices` tokenises the paths
+   into canonical domain indices in one pass;
+2. :meth:`EstimationSession.positions` ranks them under the ordering —
+   dense sessions gather from their int64 rank table (the cached
+   ``positions-<key>.npy`` permutation), sparse sessions call the
+   ordering's closed form :meth:`~repro.ordering.base.Ordering.rank_domain_indices`;
+3. the histogram answers every position with one vectorised bucket lookup.
 
 A warm start (same graph, same config, same cache directory) loads every
 artifact from disk and skips catalog construction entirely — the dominant
@@ -17,10 +22,9 @@ cost for any realistic ``k``.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,14 +46,12 @@ from repro.ordering.base import Ordering
 from repro.ordering.registry import make_ordering
 from repro.paths.catalog import CATALOG_STORAGE_MODES, SelectivityCatalog
 from repro.paths.enumeration import check_backend
-from repro.paths.label_path import SEPARATOR, LabelPath
+from repro.paths.index import paths_to_domain_indices
+from repro.paths.label_path import LabelPath
 
 __all__ = ["EngineConfig", "SessionStats", "EstimationSession"]
 
 PathLike = Union[str, LabelPath]
-
-#: Estimated bytes per position-table entry (dict slot + key string + int).
-_POSITION_TABLE_BYTES_PER_PATH = 120
 
 #: Per-stage build latency, shared by every session in the process: cold
 #: vs. warm vs. delta costs are decomposable per stage from one series.
@@ -68,7 +70,7 @@ class EngineConfig:
     Two sessions with equal configs over byte-identical graphs share every
     cache artifact; changing any field invalidates exactly the artifacts it
     feeds into (``max_length`` and ``storage`` invalidate all three,
-    ``ordering`` and the histogram fields only the histogram and position
+    ``ordering`` and the histogram fields only the histogram and rank
     table).
     """
 
@@ -113,13 +115,11 @@ class EngineConfig:
         """The config fields the catalog artifact depends on.
 
         ``catalog_format`` versions the on-disk artifact layout: bumping it
-        re-keys every catalog, so entries written under an older format (the
-        pre-columnar JSON form) are never half-trusted — they are only read
-        through the explicit fallback under their own old key
-        (:meth:`legacy_catalog_fields`).  Format 3 added the sparse storage
-        modes; ``storage`` is the *requested* mode (``"auto"`` included), so
-        sessions asking for different representations never alias one
-        artifact.
+        re-keys every catalog, so an entry written under an older format is
+        never half-trusted — it is simply never looked up.  Format 3 added
+        the sparse storage modes; ``storage`` is the *requested* mode
+        (``"auto"`` included), so sessions asking for different
+        representations never alias one artifact.
         """
         return {
             "max_length": self.max_length,
@@ -127,17 +127,8 @@ class EngineConfig:
             "storage": self.storage,
         }
 
-    def legacy_catalog_fields(self) -> dict[str, object]:
-        """The catalog key fields of the pre-columnar format (no version tag).
-
-        Caches written before the columnar artifact keyed catalogs by these
-        fields alone; the session derives the old key from them so a legacy
-        ``catalog-<key>.json`` entry can still warm-start a build.
-        """
-        return {"max_length": self.max_length}
-
     def histogram_fields(self) -> dict[str, object]:
-        """The config fields the histogram / position artifacts depend on.
+        """The config fields the histogram / rank-table artifacts depend on.
 
         Includes ``catalog_fields`` (the histogram is built from the catalog,
         and every catalog-invalidating change must invalidate it too).
@@ -202,7 +193,7 @@ class EstimationSession:
         catalog: SelectivityCatalog,
         histogram: LabelPathHistogram,
         *,
-        position_of: Mapping[str, int],
+        rank_table: Optional[np.ndarray] = None,
         config: EngineConfig,
         stats: Optional[SessionStats] = None,
         graph: Optional[LabeledDiGraph] = None,
@@ -210,11 +201,12 @@ class EstimationSession:
     ) -> None:
         self._catalog = catalog
         self._histogram = histogram
-        self._position_of = dict(position_of)
-        # Sparse sessions carry no precomputed position table (it would be
-        # O(|Lk|) memory); batches are ranked on demand through the
-        # ordering's vectorised closed forms instead.
-        self._lazy_positions = not self._position_of and catalog.storage == "sparse"
+        # ``rank_table[i]`` is the ordering index of canonical domain index
+        # ``i``.  :meth:`build` gives dense sessions one; sparse sessions get
+        # none — O(|Lk|) would defeat their O(nnz) memory model — and rank
+        # each batch through the ordering's closed form instead.
+        self._rank_table = rank_table
+        self._labels = tuple(sorted(catalog.labels))
         self._config = config
         self._stats = stats if stats is not None else SessionStats()
         self._estimator = PathSelectivityEstimator(histogram)
@@ -266,9 +258,7 @@ class EstimationSession:
         stats.extra["fingerprint_seconds"] = fingerprint_seconds
         _STAGE_SECONDS.observe(fingerprint_seconds, stage="fingerprint")
         stats.graph_digest = digest
-        catalog_key, legacy_catalog_key, histogram_key = cls._artifact_keys(
-            digest, config
-        )
+        catalog_key, histogram_key = cls._artifact_keys(digest, config)
         stats.catalog_key = catalog_key
         stats.histogram_key = histogram_key
 
@@ -282,18 +272,9 @@ class EstimationSession:
         if cache is not None:
             try:
                 with tracing.span("session.catalog_load", key=catalog_key):
-                    catalog = cache.load_catalog(
-                        catalog_key, legacy_key=legacy_catalog_key, mmap=mmap
-                    )
-            except EngineError as exc:
+                    catalog = cache.load_catalog(catalog_key, mmap=mmap)
+            except EngineError:
                 quarantined = cache.quarantine(catalog_key, kind="catalog")
-                # The legacy-JSON fallback lives under a different key; the
-                # error names the exact file that failed to parse.
-                bad_path = getattr(exc, "artifact_path", None)
-                if bad_path is not None:
-                    extra = cache.quarantine_path(bad_path)
-                    if extra is not None:
-                        quarantined.append(extra)
                 stats.extra["catalog_quarantined"] = len(quarantined)
         if catalog is None:
             with tracing.span("session.catalog_build"):
@@ -304,11 +285,7 @@ class EstimationSession:
                 cache.store_catalog(catalog_key, catalog)
         else:
             stats.catalog_from_cache = True
-            if cache is not None and not cache.catalog_path(catalog_key).exists():
-                # Warm-started from a legacy JSON artifact: upgrade it to the
-                # columnar form so later starts skip the slow reader.
-                cache.store_catalog(catalog_key, catalog)
-            elif cache is not None and mmap and not catalog.mmap_backed:
+            if cache is not None and mmap and not catalog.mmap_backed:
                 # Warm-started from a remote fetch (which ships only the
                 # ``.npz``) with mmap requested: backfill the sidecars so a
                 # prefork parent's children share pages on the next load.
@@ -335,12 +312,11 @@ class EstimationSession:
         return ArtifactCache(cache_dir)
 
     @staticmethod
-    def _artifact_keys(digest: str, config: EngineConfig) -> tuple[str, str, str]:
-        """The (catalog, legacy catalog, histogram) cache keys for one build."""
+    def _artifact_keys(digest: str, config: EngineConfig) -> tuple[str, str]:
+        """The (catalog, histogram) cache keys for one build."""
         prefix = digest[:24]
         return (
             f"{prefix}-{config_digest(config.catalog_fields())}",
-            f"{prefix}-{config_digest(config.legacy_catalog_fields())}",
             f"{prefix}-{config_digest(config.histogram_fields())}",
         )
 
@@ -356,7 +332,7 @@ class EstimationSession:
         histogram_key: str,
         build_start: float,
     ) -> "EstimationSession":
-        """Stages 2-4 of a build: ordering, position table, histogram, session.
+        """Stages 2-4 of a build: ordering, rank table, histogram, session.
 
         Shared by :meth:`build` (after loading or constructing the catalog)
         and :meth:`update` (after patching it): everything derived from the
@@ -385,51 +361,40 @@ class EstimationSession:
                 ordering = make_ordering(config.ordering, catalog=catalog)
         histogram_load_seconds = time.perf_counter() - start
 
-        # 3. Position table: domain position of every path, in the stable
+        # 3. Rank table: the ordering index of every path, in the canonical
         #    numerical-alphabetical enumeration order of Lk.  Resolved before
         #    the histogram so a fresh histogram build can consume the
         #    catalog's frequency vector through it without per-path lookups.
         #    Sparse catalogs skip the table entirely — materialising O(|Lk|)
-        #    positions (and a dict entry per path) would defeat the O(nnz)
-        #    memory model — and rank queries on demand instead.
+        #    ranks would defeat the O(nnz) memory model — and rank queries on
+        #    demand instead.  A cached table that is not a permutation of
+        #    [0, |Lk|) is damaged whatever its header says: it is quarantined
+        #    and recomputed, like one that fails to parse.
         start = time.perf_counter()
-        positions: Optional[np.ndarray] = None
-        position_of: dict[str, int] = {}
+        rank_table: Optional[np.ndarray] = None
         if catalog.storage == "sparse":
             stats.extra["lazy_positions"] = True
         else:
-            positions = None
             if cache is not None:
                 try:
-                    positions = cache.load_positions(histogram_key)
+                    rank_table = cache.load_positions(histogram_key)
+                    damaged = rank_table is not None and not _is_rank_table(
+                        rank_table, ordering.size
+                    )
                 except EngineError:
-                    positions = None
+                    damaged = True
+                if damaged:
+                    rank_table = None
                     quarantined = cache.quarantine(histogram_key, kind="positions")
                     stats.extra["positions_quarantined"] = len(quarantined)
-                if positions is not None and positions.shape != (ordering.size,):
-                    # Parses fine but cannot belong to this domain: damaged
-                    # or mis-written — quarantine and recompute, same as a
-                    # parse failure.
-                    quarantined = cache.quarantine(histogram_key, kind="positions")
-                    stats.extra["positions_quarantined"] = len(quarantined)
-                    positions = None
-            if positions is None:
+            if rank_table is None:
                 # Vectorised ranking of the whole canonical enumeration; the
                 # closed-form orderings compute this without a per-path loop.
-                positions = ordering.index_array()
+                rank_table = ordering.index_array()
                 if cache is not None:
-                    cache.store_positions(histogram_key, positions)
+                    cache.store_positions(histogram_key, rank_table)
             else:
                 stats.positions_from_cache = True
-            # The canonical enumeration spelled directly as path strings:
-            # the labels are already validated, so no LabelPath is built.
-            labels = sorted(catalog.labels)
-            path_strings = (
-                SEPARATOR.join(combo)
-                for length in range(1, config.max_length + 1)
-                for combo in itertools.product(labels, repeat=length)
-            )
-            position_of = dict(zip(path_strings, positions.tolist()))
         stats.positions_seconds = time.perf_counter() - start
         _STAGE_SECONDS.observe(stats.positions_seconds, stage="positions")
         trace = tracing.current_trace()
@@ -450,7 +415,7 @@ class EstimationSession:
                     kind=config.histogram_kind,
                     bucket_count=bucket_count,
                     frequencies=domain_frequencies(
-                        catalog, ordering, positions=positions
+                        catalog, ordering, positions=rank_table
                     ),
                 )
             if cache is not None:
@@ -474,7 +439,7 @@ class EstimationSession:
         session = cls(
             catalog,
             histogram,
-            position_of=position_of,
+            rank_table=rank_table,
             config=config,
             stats=stats,
             graph=graph,
@@ -502,7 +467,7 @@ class EstimationSession:
         :meth:`SelectivityCatalog.apply_delta` — only the affected
         first-label subtree slices are re-evaluated.  The patched catalog is
         written to the artifact cache under its new content-addressed key,
-        and the derived histogram and position table are invalidated: they
+        and the derived histogram and rank table are invalidated: they
         are rebuilt from the patched catalog (the ordering may rank paths
         differently under the new frequencies) and cached under the new
         histogram key.
@@ -545,7 +510,7 @@ class EstimationSession:
         delta_added, delta_removed = delta.apply(graph)
         digest = graph_digest(graph)
         stats.graph_digest = digest
-        catalog_key, _, histogram_key = self._artifact_keys(digest, config)
+        catalog_key, histogram_key = self._artifact_keys(digest, config)
         stats.catalog_key = catalog_key
         stats.histogram_key = histogram_key
 
@@ -648,12 +613,12 @@ class EstimationSession:
         this number: the catalog's stored representation — O(nnz) for
         sparse storage, the frequency vector for dense (zero when it is
         memory-mapped: those pages are reclaimable file cache) — plus the
-        position table (a dict of path string → int, estimated per entry;
-        empty for sparse sessions) and the histogram bucket arrays.  An
-        estimate, not an audit.
+        int64 rank table (none for sparse sessions) and the histogram bucket
+        arrays.  An estimate, not an audit.
         """
         total = self._catalog.memory_bytes()
-        total += _POSITION_TABLE_BYTES_PER_PATH * len(self._position_of)
+        if self._rank_table is not None:
+            total += self._rank_table.nbytes
         total += 32 * self._histogram.bucket_count
         return total
 
@@ -666,54 +631,34 @@ class EstimationSession:
 
     def position(self, path: PathLike) -> int:
         """The domain position of ``path`` under the session's ordering."""
-        if self._lazy_positions:
-            return self._histogram.ordering.index(path)
-        key = path if isinstance(path, str) else str(path)
-        try:
-            return self._position_of[key]
-        except KeyError:
-            # Non-canonical spellings (whitespace, LabelPath-equivalent
-            # strings) fall back to the ordering, which also produces the
-            # right error for genuinely invalid paths.
-            return self._histogram.ordering.index(path)
+        return int(self.positions([path])[0])
 
     def positions(self, paths: Sequence[PathLike]) -> np.ndarray:
-        """Domain positions for a batch of paths, in input order."""
-        if self._lazy_positions:
-            return self._histogram.ordering.index_array(list(paths))
-        table = self._position_of
-        out = np.empty(len(paths), dtype=np.int64)
-        for i, path in enumerate(paths):
-            key = path if isinstance(path, str) else str(path)
-            found = table.get(key, -1)
-            out[i] = found if found >= 0 else self._histogram.ordering.index(path)
-        return out
+        """Domain positions for a batch of paths, in input order.
+
+        The one rank step of every estimate: the batch is tokenised into
+        canonical domain indices, which dense sessions map through their
+        rank table and sparse sessions rank through the ordering's closed
+        form.  Invalid paths raise the tokeniser's error either way.
+        """
+        ordering = self._histogram.ordering
+        indices = paths_to_domain_indices(
+            paths, self._labels, max_length=ordering.max_length
+        )
+        if self._rank_table is None:
+            return ordering.rank_domain_indices(indices)
+        return self._rank_table[indices]
 
     def estimate_batch(self, paths: Sequence[PathLike]) -> np.ndarray:
         """Vectorised estimates for a batch of paths, in input order.
 
-        Dense sessions resolve paths through the precomputed table (one
-        dict lookup each — no parsing, validation or ranking arithmetic on
-        the hot path); sparse sessions rank the whole batch through the
-        ordering's vectorised closed form.  Either way the histogram
-        answers all of them with a single vectorised bucket lookup, and the
-        result agrees element-wise with a per-path :meth:`estimate` loop.
+        The batch is ranked in one pass by :meth:`positions` and the
+        histogram answers all of it with a single vectorised bucket lookup;
+        the result equals a per-path :meth:`estimate` loop element-wise.
         """
         if len(paths) == 0:
             return np.empty(0, dtype=float)
-        if self._lazy_positions:
-            positions = self._histogram.ordering.index_array(list(paths))
-            return self._histogram.estimate_indices(positions)
-        table = self._position_of
-        try:
-            positions = np.fromiter(
-                (table[p if isinstance(p, str) else str(p)] for p in paths),
-                dtype=np.int64,
-                count=len(paths),
-            )
-        except KeyError:
-            positions = self.positions(paths)
-        return self._histogram.estimate_indices(positions)
+        return self._histogram.estimate_indices(self.positions(paths))
 
     def true_selectivity(self, path: PathLike) -> int:
         """Ground-truth ``f(ℓ)`` from the session's catalog."""
@@ -726,3 +671,14 @@ class EstimationSession:
             f"domain={self.domain_size} "
             f"warm={self._stats.catalog_from_cache}>"
         )
+
+
+def _is_rank_table(table: np.ndarray, size: int) -> bool:
+    """Whether ``table`` is an int64 permutation of ``[0, size)``."""
+    if table.dtype != np.int64 or table.shape != (size,):
+        return False
+    if int(table.min()) < 0 or int(table.max()) >= size:
+        return False
+    seen = np.zeros(size, dtype=bool)
+    seen[table] = True
+    return bool(seen.all())

@@ -249,7 +249,9 @@ class Histogram:
             raise HistogramError("indices must be one-dimensional")
         if positions.size == 0:
             return np.empty(0, dtype=float)
-        if int(positions.min()) < 0 or int(positions.max()) >= self._domain_size:
+        # As uint64 a negative index wraps past 2**63, so one reduction
+        # checks both ends of the domain.
+        if int(positions.view(np.uint64).max()) >= self._domain_size:
             raise HistogramError(
                 f"batch contains indices outside the histogram domain "
                 f"[0, {self._domain_size})"

@@ -175,15 +175,11 @@ class LabelPathHistogram:
     def estimate_batch(self, paths) -> np.ndarray:
         """Estimates for a batch of paths, in input order (vectorised lookup).
 
-        Ranking still happens per path through the ordering; the bucket
-        lookup is a single vectorised call.  The engine layer
-        (:mod:`repro.engine`) goes further and replaces the per-path ranking
-        with a precomputed position table.
+        The batch is ranked in one pass through :meth:`Ordering.index_array`
+        (tokenise to canonical domain indices, then rank) and the bucket
+        lookup is a single vectorised call.
         """
-        indices = np.fromiter(
-            (self._ordering.index(path) for path in paths), dtype=np.int64
-        )
-        return self._histogram.estimate_batch(indices)
+        return self._histogram.estimate_batch(self._ordering.index_array(list(paths)))
 
     def estimate_indices(self, indices) -> np.ndarray:
         """Vectorised estimates for raw domain positions (bypassing ranking)."""

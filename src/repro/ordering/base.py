@@ -53,6 +53,13 @@ class Ordering:
         self._ranking = ranking
         self._max_length = max_length
         self._size = domain_size(ranking.size, max_length)
+        # The canonical (sorted) alphabet, and per canonical digit the
+        # ranking rule's 1-based rank: the bridge from canonical domain
+        # indices to every ordering's closed form.
+        self._canonical_labels = tuple(sorted(ranking.labels))
+        self._rank_of_digit = np.array(
+            [ranking.rank(label) for label in self._canonical_labels], dtype=np.int64
+        )
 
     # ------------------------------------------------------------------
     # metadata
@@ -140,32 +147,18 @@ class Ordering:
         ``paths=None`` ranks the *entire domain* in canonical
         numerical-alphabetical enumeration order (the order of
         :func:`~repro.paths.enumeration.enumerate_label_paths` over the sorted
-        alphabet) — exactly the position table the estimation engine caches.
-        The base implementation loops over :meth:`index`; the closed-form
-        orderings override :meth:`_rank_block` so the whole table is computed
-        with per-length vectorised arithmetic instead of a per-path Python
-        loop.  Both routes agree element-wise by construction (and by test).
+        alphabet) — exactly the rank table the estimation engine caches.
+        Otherwise the paths are tokenised into canonical domain indices by
+        :func:`~repro.paths.index.paths_to_domain_indices` (which validates
+        labels and lengths) and ranked by :meth:`rank_domain_indices`.
         """
-        blocks = self._canonical_rank_blocks(paths)
-        if blocks is None:
-            if paths is None:
-                iterator: Iterator[PathLike] = enumerate_label_paths(
-                    sorted(self.labels), self._max_length
-                )
-                count = self._size
-            else:
-                iterator = iter(paths)
-                count = len(paths)
-            return np.fromiter(
-                (self.index(path) for path in iterator), dtype=np.int64, count=count
-            )
         if paths is None:
-            out = np.empty(self._size, dtype=np.int64)
-        else:
-            out = np.empty(len(paths), dtype=np.int64)
-        for length, positions, ranks in blocks:
-            out[positions] = self._rank_block(length, ranks)
-        return out
+            return self._rank_canonical(None)
+        return self.rank_domain_indices(
+            paths_to_domain_indices(
+                paths, self._canonical_labels, max_length=self._max_length
+            )
+        )
 
     def _rank_block(self, length: int, ranks: np.ndarray) -> np.ndarray:
         """Vectorised ranking of one length group (``ranks`` is 1-based).
@@ -173,40 +166,9 @@ class Ordering:
         ``ranks`` has shape ``(n, length)``; row ``i`` holds the ranking-rule
         ranks of one path's labels.  Orderings with a closed-form index rule
         override this; the base class signals "no vectorised form" by raising,
-        which makes :meth:`index_array` fall back to the scalar loop.
+        which makes the batch ranking fall back to the scalar loop.
         """
         raise NotImplementedError
-
-    def _canonical_rank_blocks(
-        self, paths: Optional[Sequence[PathLike]]
-    ) -> Optional[list[tuple[int, np.ndarray, np.ndarray]]]:
-        """Per-length ``(length, positions, 1-based rank matrix)`` groups.
-
-        Returns ``None`` when the ordering has no vectorised
-        :meth:`_rank_block`, so :meth:`index_array` can fall back.  Input paths
-        are validated through the same canonical-domain arithmetic the scalar
-        path uses (unknown labels and over-length paths raise).
-        """
-        if type(self)._rank_block is Ordering._rank_block:
-            return None
-        sorted_labels = sorted(self.labels)
-        # digit (position in the sorted alphabet) -> ranking-rule rank.
-        rank_of_digit = np.array(
-            [self._ranking.rank(label) for label in sorted_labels], dtype=np.int64
-        )
-        indices: Optional[np.ndarray]
-        if paths is None:
-            indices = None
-        else:
-            indices = paths_to_domain_indices(
-                paths, sorted_labels, max_length=self._max_length
-            )
-        return [
-            (length, positions, rank_of_digit[digits])
-            for length, positions, digits in canonical_digit_blocks(
-                self._ranking.size, self._max_length, indices
-            )
-        ]
 
     def rank_domain_indices(self, indices) -> np.ndarray:
         """Ordering indices for a batch of *canonical* domain indices.
@@ -215,31 +177,42 @@ class Ordering:
         (``index_array(domain_indices_to_paths(indices, ...))``) without
         materialising any :class:`LabelPath` objects when the ordering has a
         closed-form :meth:`_rank_block`: the canonical indices decompose
-        straight into digit matrices.  This is the translation the
-        sparse-catalog pipeline uses to lay nonzero selectivities out in
-        ordering order.
+        straight into digit matrices.  This is the second step of every
+        batch estimate (string → canonical index → ordering rank) and the
+        translation the sparse-catalog pipeline uses to lay nonzero
+        selectivities out in ordering order.
         """
         index_array = np.ascontiguousarray(np.asarray(indices, dtype=np.int64))
         if index_array.ndim != 1:
             raise OrderingError("domain indices must be one-dimensional")
-        sorted_labels = sorted(self.labels)
+        return self._rank_canonical(index_array)
+
+    def _rank_canonical(self, indices: Optional[np.ndarray]) -> np.ndarray:
+        """Rank canonical domain indices (``None``: the whole domain, in order).
+
+        Closed-form orderings rank one length group at a time through
+        :meth:`_rank_block`; the others unrank to paths and loop over
+        :meth:`index`.  Both routes agree element-wise (by test).
+        """
+        count = self._size if indices is None else indices.size
         if type(self)._rank_block is Ordering._rank_block:
-            paths = domain_indices_to_paths(
-                index_array, sorted_labels, self._max_length
+            paths: Iterator[LabelPath] = (
+                enumerate_label_paths(self._canonical_labels, self._max_length)
+                if indices is None
+                else iter(
+                    domain_indices_to_paths(
+                        indices, self._canonical_labels, self._max_length
+                    )
+                )
             )
             return np.fromiter(
-                (self.index(path) for path in paths),
-                dtype=np.int64,
-                count=len(paths),
+                (self.index(path) for path in paths), dtype=np.int64, count=count
             )
-        rank_of_digit = np.array(
-            [self._ranking.rank(label) for label in sorted_labels], dtype=np.int64
-        )
-        out = np.empty(index_array.size, dtype=np.int64)
+        out = np.empty(count, dtype=np.int64)
         for length, positions, digits in canonical_digit_blocks(
-            self._ranking.size, self._max_length, index_array
+            self._ranking.size, self._max_length, indices
         ):
-            out[positions] = self._rank_block(length, rank_of_digit[digits])
+            out[positions] = self._rank_block(length, self._rank_of_digit[digits])
         return out
 
     # ------------------------------------------------------------------

@@ -70,8 +70,8 @@ __all__ = [
 PathLike = Union[str, LabelPath]
 
 #: Version stamp written into the ``.npz`` catalog format.  Version 2 added
-#: the sparse (``nz_indices`` / ``nz_values``) layout; version-1 archives
-#: (always dense) are still read.
+#: the sparse (``nz_indices`` / ``nz_values``) layout; it is the only
+#: version read.
 CATALOG_NPZ_VERSION = 2
 
 #: The storage modes a catalog can be asked for.
@@ -964,17 +964,17 @@ class SelectivityCatalog:
     def load_npz(cls, path: Union[str, Path]) -> "SelectivityCatalog":
         """Read a catalog previously written by :meth:`save_npz`.
 
-        Both layouts of format version 2 (dense and sparse) and the legacy
-        dense-only version 1 load transparently; the storage mode is
-        whatever the archive carries.
+        Both layouts of format version :data:`CATALOG_NPZ_VERSION` (dense and
+        sparse) load; the storage mode is whatever the archive carries.  Any
+        other version is refused.
         """
         with np.load(Path(path), allow_pickle=False) as archive:
             try:
                 version = int(archive["format_version"])
-                if version not in (1, CATALOG_NPZ_VERSION):
+                if version != CATALOG_NPZ_VERSION:
                     raise PathError(
                         f"unsupported catalog npz format version {version} "
-                        f"(expected <= {CATALOG_NPZ_VERSION})"
+                        f"(expected {CATALOG_NPZ_VERSION})"
                     )
                 labels = [str(label) for label in archive["labels"]]
                 max_length = int(archive["max_length"])
@@ -1011,7 +1011,8 @@ class SelectivityCatalog:
         """Read a catalog written by :meth:`save` or :meth:`save_npz`.
 
         The format is sniffed from the file content (``.npz`` archives are
-        zip files), so old JSON catalogs keep loading transparently.
+        zip files), so the JSON output of ``repro catalog`` and the compact
+        archive load through one call.
         """
         target = Path(path)
         with open(target, "rb") as handle:

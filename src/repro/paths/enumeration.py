@@ -41,7 +41,7 @@ from repro.graph.digraph import LabeledDiGraph
 from repro.graph.matrices import LabelMatrixStore, block_nonzero_counts, drop_zero_rows
 from repro.obs import tracing
 from repro.obs.metrics import BUILD_BUCKETS, Histogram
-from repro.paths.index import domain_block_starts
+from repro.paths.index import domain_block_starts, domain_size
 from repro.paths.label_path import LabelPath
 
 _CATALOG_BUILD_SECONDS = Histogram(
@@ -65,17 +65,6 @@ __all__ = [
 #: only per-block counts, so slicing bounds the live product to this many
 #: rows instead of the whole stacked frontier.
 _LAST_LEVEL_SLICE_ROWS = 16384
-
-
-def domain_size(label_count: int, max_length: int) -> int:
-    """The size ``|Lk| = Σ_{i=1..k} |L|^i`` of the label-path domain."""
-    if label_count < 1:
-        raise PathError("label_count must be >= 1")
-    if max_length < 1:
-        raise PathError("max_length must be >= 1")
-    if label_count == 1:
-        return max_length
-    return (label_count ** (max_length + 1) - label_count) // (label_count - 1)
 
 
 def enumerate_label_paths(

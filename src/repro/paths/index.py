@@ -10,8 +10,9 @@ Two kinds of "index" live here:
   :class:`~repro.paths.catalog.SelectivityCatalog` stores its frequency
   vector in exactly this order, so these functions are the only translation
   layer between :class:`LabelPath` objects and array positions.  Scalar and
-  vectorised forms are provided; the vectorised forms group paths by length
-  and resolve each group with one base-``|L|`` dot product.
+  batch forms are provided; the batch ranking reads each path as a bijective
+  base-``|L|`` numeral in one tokenising pass, and the batch unranking peels
+  digits off with per-length vectorised arithmetic.
 
 * **Materialised path indexing** — :class:`PathIndex`, the paper's substrate
   from Fletcher et al. (EDBT 2016 — reference [6]): for every label path up
@@ -21,17 +22,19 @@ Two kinds of "index" live here:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import PathError, UnknownLabelError
 from repro.graph.digraph import LabeledDiGraph
-from repro.paths.label_path import LabelPath, as_label_path
+from repro.paths.label_path import SEPARATOR, LabelPath, as_label_path
 
 __all__ = [
     "PathIndex",
     "domain_block_starts",
+    "domain_size",
     "path_to_domain_index",
     "domain_index_to_path",
     "paths_to_domain_indices",
@@ -59,6 +62,17 @@ def domain_block_starts(label_count: int, max_length: int) -> np.ndarray:
         raise PathError("max_length must be >= 1")
     sizes = label_count ** np.arange(1, max_length + 1, dtype=np.int64)
     return np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(sizes)))
+
+
+def domain_size(label_count: int, max_length: int) -> int:
+    """The size ``|Lk| = Σ_{i=1..k} |L|^i`` of the label-path domain."""
+    if label_count < 1:
+        raise PathError("label_count must be >= 1")
+    if max_length < 1:
+        raise PathError("max_length must be >= 1")
+    if label_count == 1:
+        return max_length
+    return (label_count ** (max_length + 1) - label_count) // (label_count - 1)
 
 
 def _rank_of(alphabet: Sequence[str]) -> dict[str, int]:
@@ -115,38 +129,84 @@ def paths_to_domain_indices(
     *,
     max_length: Optional[int] = None,
 ) -> np.ndarray:
-    """Canonical domain indices of a batch of paths (vectorised per length).
+    """Canonical domain indices of a batch of paths, in input order.
 
-    Paths are grouped by length; each group's digit matrix is resolved with a
-    single base-``|L|`` dot product.  ``max_length``, when given, rejects
-    longer paths with :class:`PathError` (the catalog uses this to refuse
-    out-of-domain queries).
+    A path's canonical index is the path read as a *bijective* base-``|L|``
+    numeral — digits ``1..|L|`` over the sorted alphabet — minus one: the
+    length-block offsets fall out of the bijective digits, so one Horner
+    loop over one ``str.split`` resolves any length with plain ints and no
+    per-call numpy set-up.  ``max_length``, when given, rejects longer paths
+    with :class:`PathError` (the catalog uses this to refuse out-of-domain
+    queries); a path of length ``m > k`` reads as at least ``|Lk| + 1``, so
+    one comparison of the batch maximum against ``|Lk|`` covers them all.
+
+    Anything the single pass does not recognise — an unknown or empty label,
+    a whitespace spelling, an input that is neither ``str`` nor
+    :class:`LabelPath`, an over-length path — sends the whole batch through
+    the checked per-path parser, which answers valid spellings and raises
+    the first invalid path's exact exception.
+    """
+    digit_of, base, bound = _tokeniser(tuple(alphabet), max_length)
+    out: list[int] = []
+    append = out.append
+    try:
+        for path in paths:
+            value = 0
+            for label in path.split(SEPARATOR) if type(path) is str else _labels(path):
+                value = value * base + digit_of[label]
+            append(value - 1)
+    except KeyError:
+        return _parse_domain_indices(paths, alphabet, max_length)
+    if out and bound is not None and max(out) >= bound:
+        return _parse_domain_indices(paths, alphabet, max_length)
+    return np.array(out, dtype=np.int64)
+
+
+def _labels(path: object) -> tuple[str, ...]:
+    """A :class:`LabelPath`'s labels; any other non-``str`` input is a miss."""
+    if type(path) is LabelPath:
+        return path.labels
+    raise KeyError(path)
+
+
+@lru_cache(maxsize=64)
+def _tokeniser(
+    alphabet: tuple[str, ...], max_length: Optional[int]
+) -> tuple[dict[str, int], int, Optional[int]]:
+    """Label -> bijective digit (``1..|L|``) map, the base ``|L|`` and ``|Lk|``.
+
+    Labels with surrounding whitespace are left out of the map: a path
+    using one is then always handed to the parser, whose ``strip`` would
+    otherwise change what such a path means.  ``|Lk|`` is ``None`` without
+    a ``max_length``.
     """
     rank_of = _rank_of(alphabet)
+    digit_of = {
+        label: digit + 1 for label, digit in rank_of.items() if label == label.strip()
+    }
     base = len(rank_of)
-    count = len(paths)
-    out = np.empty(count, dtype=np.int64)
-    by_length: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-    for position, path in enumerate(paths):
+    bound = None if max_length is None else domain_size(base, max_length)
+    return digit_of, base, bound
+
+
+def _parse_domain_indices(
+    paths: Sequence[PathLike], alphabet: Sequence[str], max_length: Optional[int]
+) -> np.ndarray:
+    """The checked per-path form of :func:`paths_to_domain_indices`.
+
+    Parses every path into a :class:`LabelPath` and raises on the first
+    invalid one, in input order: the parser's own error, then
+    :class:`PathError` past ``max_length``, then :class:`UnknownLabelError`.
+    """
+    out: list[int] = []
+    for path in paths:
         label_path = as_label_path(path)
-        length = label_path.length
-        if max_length is not None and length > max_length:
+        if max_length is not None and label_path.length > max_length:
             raise PathError(
                 f"path {label_path} longer than max_length={max_length}"
             )
-        try:
-            digits = tuple(rank_of[label] for label in label_path)
-        except KeyError as exc:
-            raise UnknownLabelError(exc.args[0]) from None
-        positions, rows = by_length.setdefault(length, ([], []))
-        positions.append(position)
-        rows.append(digits)
-    starts = domain_block_starts(base, max(by_length) if by_length else 1)
-    for length, (positions, rows) in by_length.items():
-        digit_matrix = np.asarray(rows, dtype=np.int64)
-        powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-        out[positions] = starts[length - 1] + digit_matrix @ powers
-    return out
+        out.append(path_to_domain_index(label_path, alphabet))
+    return np.array(out, dtype=np.int64)
 
 
 def domain_indices_to_paths(

@@ -1,4 +1,4 @@
-"""Tests for the columnar catalog artifact (npz format + JSON fallback)."""
+"""Tests for the columnar catalog artifact (npz format) and the JSON form."""
 
 from __future__ import annotations
 
@@ -91,26 +91,6 @@ class TestArrayOwnership:
 
 
 class TestCacheFallback:
-    def test_legacy_json_artifact_still_loads(self, small_catalog, tmp_path):
-        # A cache written by a pre-columnar release holds catalog-<key>.json;
-        # the npz-first loader must fall back to it.
-        cache = ArtifactCache(tmp_path)
-        small_catalog.save(cache.legacy_catalog_path("k"))
-        loaded = cache.load_catalog("k")
-        assert loaded is not None
-        assert cache.hits == 1 and cache.misses == 0
-        assert np.array_equal(
-            loaded.frequency_vector(), small_catalog.frequency_vector()
-        )
-
-    def test_npz_preferred_over_legacy(self, small_catalog, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store_catalog("k", small_catalog)
-        # Corrupt legacy file next to the valid npz artifact: must be ignored.
-        cache.legacy_catalog_path("k").write_text("{broken", encoding="utf-8")
-        loaded = cache.load_catalog("k")
-        assert loaded is not None
-
     def test_truncated_npz_raises_engine_error(self, small_catalog, tmp_path):
         from repro.exceptions import EngineError
 
@@ -121,20 +101,21 @@ class TestCacheFallback:
         with pytest.raises(EngineError):
             cache.load_catalog("k")
 
+    def test_json_catalog_file_is_not_an_artifact(self, small_catalog, tmp_path):
+        # Only the columnar archive is read: a JSON catalog under an
+        # artifact-like name is a plain miss and counts toward no budget.
+        cache = ArtifactCache(tmp_path)
+        small_catalog.save(tmp_path / "catalog-k.json")
+        assert cache.load_catalog("k") is None
+        assert cache.misses == 1
+        assert cache.artifact_files() == []
+
     def test_stored_artifact_is_npz(self, small_catalog, tmp_path):
         cache = ArtifactCache(tmp_path)
         path = cache.store_catalog("k", small_catalog)
         assert path.suffix == ".npz"
         with open(path, "rb") as handle:
             assert handle.read(2) == b"PK"
-
-    def test_clear_removes_both_forms(self, small_catalog, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store_catalog("k", small_catalog)
-        small_catalog.save(cache.legacy_catalog_path("old"))
-        assert cache.clear() == 2
-        assert cache.artifact_files() == []
-
 
 class TestSessionUsesColumnarArtifact:
     def test_warm_start_from_npz(self, small_graph, tmp_path):
@@ -146,28 +127,6 @@ class TestSessionUsesColumnarArtifact:
         assert np.array_equal(
             warm.catalog.frequency_vector(), cold.catalog.frequency_vector()
         )
-
-    def test_warm_start_from_legacy_json(self, small_graph, tmp_path):
-        # Simulate a cache written by a pre-columnar release: the catalog
-        # lives as JSON under the *old* key (no catalog_format field).
-        from repro.engine import config_digest, graph_digest
-
-        config = EngineConfig(max_length=2, bucket_count=8)
-        cold = EstimationSession.build(small_graph, config)
-        cache = ArtifactCache(tmp_path)
-        legacy_key = (
-            f"{graph_digest(small_graph)[:24]}"
-            f"-{config_digest(config.legacy_catalog_fields())}"
-        )
-        cold.catalog.save(cache.legacy_catalog_path(legacy_key))
-        warm = EstimationSession.build(small_graph, config, cache_dir=tmp_path)
-        assert warm.stats.catalog_from_cache
-        assert np.array_equal(
-            warm.catalog.frequency_vector(), cold.catalog.frequency_vector()
-        )
-        # The legacy hit is upgraded to the columnar artifact in place, so
-        # the next start takes the npz fast path.
-        assert cache.catalog_path(warm.stats.catalog_key).exists()
 
     def test_catalog_format_version_in_cache_key(self):
         # The config digest must cover the artifact format so a layout change
@@ -182,8 +141,8 @@ class TestSessionUsesColumnarArtifact:
         assert fields != sparse_fields
 
     def test_json_artifact_content_is_legacy_schema(self, small_catalog, tmp_path):
-        # Guards the fallback contract: ``save`` still writes the exact
-        # pre-columnar JSON schema.
+        # ``save`` (the ``repro catalog`` output format) keeps the exact
+        # path-keyed JSON schema.
         target = tmp_path / "catalog.json"
         small_catalog.save(target)
         document = json.loads(target.read_text(encoding="utf-8"))

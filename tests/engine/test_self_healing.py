@@ -113,6 +113,23 @@ class TestSidecarArtifacts:
         assert healed.stats.extra["positions_quarantined"] >= 1
         assert np.array_equal(healed.estimate_batch(PATHS), reference)
 
+    def test_non_permutation_positions_is_quarantined(self, graph, tmp_path):
+        # A table whose header parses but whose ranks are not a permutation
+        # of [0, |Lk|): one rank duplicated, one far out of the domain.
+        cache = ArtifactCache(tmp_path)
+        session = _build(graph, cache)
+        key = session.stats.histogram_key
+        reference = session.estimate_batch(PATHS)
+        table = cache.load_positions(key).copy()
+        table[1] = table[0]
+        table[2] = 10**9
+        cache.store_positions(key, table)
+        healed = _build(graph, cache)
+        assert not healed.stats.positions_from_cache
+        assert healed.stats.extra["positions_quarantined"] == 1
+        assert np.array_equal(healed.estimate_batch(PATHS), reference)
+        assert np.array_equal(cache.load_positions(key), session.ordering.index_array())
+
 
 class TestQuarantineVisibility:
     def test_artifact_files_and_cache_list_skip_quarantined(

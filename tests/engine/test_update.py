@@ -99,7 +99,7 @@ class TestSessionUpdate:
         orphan = EstimationSession(
             built.catalog,
             built.histogram,
-            position_of={},
+            rank_table=built.ordering.index_array(),
             config=CONFIG,
         )
         with pytest.raises(EngineError, match="retains no graph"):

@@ -10,6 +10,7 @@ from repro.ordering.base import Ordering
 from repro.ordering.registry import make_ordering
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import enumerate_label_paths
+from repro.paths.index import path_to_domain_index
 from repro.paths.label_path import LabelPath
 
 ALL_METHODS = ("num-alph", "num-card", "lex-alph", "lex-card", "sum-based", "ideal")
@@ -66,15 +67,29 @@ class TestFullDomain:
 
 
 @pytest.mark.parametrize("method", VECTORISED_METHODS)
-def test_closed_form_orderings_do_not_fall_back(catalog, method):
+def test_closed_form_orderings_do_not_fall_back(catalog, method, monkeypatch):
     ordering = make_ordering(method, catalog=catalog)
     assert type(ordering)._rank_block is not Ordering._rank_block
-    assert ordering._canonical_rank_blocks(None) is not None
+    expected = ordering.index_array()
+
+    def scalar(path):
+        raise AssertionError("batch ranking fell back to the scalar loop")
+
+    monkeypatch.setattr(ordering, "index", scalar)
+    assert np.array_equal(ordering.index_array(), expected)
+    paths = ["1", "2/1"]
+    assert ordering.index_array(paths).tolist() == [
+        expected[path_to_domain_index(path, catalog.labels)] for path in paths
+    ]
 
 
-def test_ideal_ordering_uses_fallback(catalog):
+def test_ideal_ordering_uses_fallback(catalog, monkeypatch):
     ordering = make_ordering("ideal", catalog=catalog)
-    assert ordering._canonical_rank_blocks(None) is None
+    calls = []
+    scalar = ordering.index
+    monkeypatch.setattr(ordering, "index", lambda path: calls.append(path) or scalar(path))
+    ordering.index_array()
+    assert len(calls) == ordering.size
 
 
 class TestValidation:

@@ -219,21 +219,17 @@ class TestPersistence:
             assert "frequencies" not in archive.files
             assert archive["nz_indices"].size == sparse.nnz
 
-    def test_legacy_v1_archive_still_loads(self, catalog_pair, tmp_path):
+    def test_v1_archive_is_refused(self, catalog_pair, tmp_path):
         dense, _ = catalog_pair
         target = tmp_path / "v1.npz"
-        arrays = {
-            "format_version": np.asarray(1, dtype=np.int64),
-            "labels": np.asarray(dense.labels, dtype=np.str_),
-            "max_length": np.asarray(dense.max_length, dtype=np.int64),
-            "graph_name": np.asarray(dense.graph_name, dtype=np.str_),
-            "frequencies": dense.frequency_vector(),
-        }
+        dense.save_npz(target)
+        with np.load(target) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["format_version"] = np.asarray(1, dtype=np.int64)
         with open(target, "wb") as handle:
             np.savez_compressed(handle, **arrays)
-        loaded = SelectivityCatalog.load(target)
-        assert loaded.storage == "dense"
-        assert np.array_equal(loaded.frequency_vector(), dense.frequency_vector())
+        with pytest.raises(PathError, match="version 1"):
+            SelectivityCatalog.load(target)
 
     def test_json_document_identical_across_modes(self, catalog_pair):
         dense, sparse = catalog_pair
